@@ -88,7 +88,6 @@ let strip_spin (r : Machine.result) =
   {
     r with
     Machine.spin = { Machine.sleeps = 0; cycles_skipped = 0; wakes = 0 };
-    shard = Machine.no_shard_ctrs;
   }
 
 let timed f =
@@ -397,145 +396,6 @@ let run_jobs_scaling ~quick () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Shard-scaling artefact: one machine's cores split across OCaml
-   domains (--shard-domains) against the same machine on the
-   sequential engine loop.  Bit-identity is asserted on every host;
-   the wall-clock ratio is recorded, not asserted — a 1-CPU runner
-   legitimately loses time to barrier traffic.                         *)
-(* ------------------------------------------------------------------ *)
-
-type shard_scaling = {
-  ss_cpus : int;
-  ss_cores : int;
-  ss_shards : int;
-  ss_seq_s : float;
-  ss_shard_s : float;
-  ss_barriers : int;
-  ss_elided : int;  (* lockstep-traffic counters of the sharded run *)
-}
-
-let shard_scaling_row = ref (None : shard_scaling option)
-
-let run_shard_scaling ~quick () =
-  let cpus = Domain.recommended_domain_count () in
-  let threads = if quick then 16 else 32 in
-  let per = if quick then 4 else 12 in
-  let w = W.Mpmc.make ~threads ~per_producer:per ~scope:`Class () in
-  let base = E.Exp_run.s_config Config.default in
-  let run d =
-    timed (fun () ->
-        Machine.run (Config.with_shard_domains d base) w.W.Workload.program)
-  in
-  let seq_r, seq_s = run 1 in
-  let shards = max 2 (min 4 cpus) in
-  let shard_r, shard_s = run shards in
-  if strip_spin seq_r <> strip_spin shard_r then
-    failwith
-      (Printf.sprintf "shard-scaling: %d-shard run diverged from the sequential loop"
-         shards);
-  (* Barrier elision must have fired: the MPMC service loops give the
-     horizon analysis plenty of provably-quiet spans. *)
-  let no_elide_r =
-    Machine.run
-      (Config.with_elide_barriers false (Config.with_shard_domains shards base))
-      w.W.Workload.program
-  in
-  if strip_spin no_elide_r <> strip_spin shard_r then
-    failwith "shard-scaling: elision changed the result";
-  if shard_r.Machine.shard.Machine.elided_cycles = 0 then
-    failwith "shard-scaling: barrier elision never fired";
-  if shard_r.Machine.shard.Machine.barriers >= no_elide_r.Machine.shard.Machine.barriers
-  then
-    failwith "shard-scaling: elision did not reduce barrier traffic";
-  say
-    "shard-scaling: %d cores — 1 shard %.2fs, %d shards %.2fs, %.2fx (host CPUs: %d, \
-     bit-identical; %d barriers, %d cycles elided, %d barriers without elision)"
-    threads seq_s shards shard_s (seq_s /. shard_s) cpus
-    shard_r.Machine.shard.Machine.barriers shard_r.Machine.shard.Machine.elided_cycles
-    no_elide_r.Machine.shard.Machine.barriers;
-  shard_scaling_row :=
-    Some
-      { ss_cpus = cpus; ss_cores = threads; ss_shards = shards; ss_seq_s = seq_s;
-        ss_shard_s = shard_s; ss_barriers = shard_r.Machine.shard.Machine.barriers;
-        ss_elided = shard_r.Machine.shard.Machine.elided_cycles }
-
-(* ------------------------------------------------------------------ *)
-(* Sharded-sampled artefact: the tentpole composition — the 256-core
-   sampled MPMC machine with its detailed windows split across shard
-   domains, against the same sampled run on one domain.  Bit-identity
-   (including the recorded window ranges) is asserted on every host;
-   the >=2x wall-clock gate holds only on runners with >= 4 CPUs at
-   full size, where the window work dwarfs the barrier cost.           *)
-(* ------------------------------------------------------------------ *)
-
-type sharded_sampled = {
-  hs_cpus : int;
-  hs_cores : int;
-  hs_shards : int;
-  hs_seq_s : float;
-  hs_shard_s : float;
-  hs_barriers : int;
-  hs_windows : int;
-  hs_gated : bool;  (* the >=2x wall-clock gate was enforced *)
-}
-
-let sharded_sampled_row = ref (None : sharded_sampled option)
-
-let run_sharded_sampled ~quick () =
-  let cpus = Domain.recommended_domain_count () in
-  let threads = 256 in
-  let per = if quick then 1 else 156 in
-  let w = W.Mpmc.make ~threads ~per_producer:per ~scope:`Class () in
-  let base =
-    Config.with_sampling
-      (Some (E.Server.sampled_sampling ~quick))
-      (E.Exp_run.s_config Config.default)
-  in
-  let run d =
-    timed (fun () ->
-        Machine.run (Config.with_shard_domains d base) w.W.Workload.program)
-  in
-  let seq_r, seq_s = run 1 in
-  let shards = max 2 (min 4 cpus) in
-  let shard_r, shard_s = run shards in
-  if strip_spin seq_r <> strip_spin shard_r then
-    failwith
-      (Printf.sprintf
-         "sharded-sampled: %d-shard sampled run diverged from the sequential one"
-         shards);
-  if seq_r.Machine.sample_windows <> shard_r.Machine.sample_windows then
-    failwith "sharded-sampled: sharding moved the measured windows";
-  if shard_r.Machine.shard.Machine.barriers = 0 then
-    failwith "sharded-sampled: the window team never crossed a barrier";
-  let speedup = seq_s /. shard_s in
-  let gated = (not quick) && cpus >= 4 in
-  say
-    "sharded-sampled: %d cores sampled — 1 shard %.2fs, %d shards %.2fs, %.2fx (host \
-     CPUs: %d, bit-identical, %d barriers, %d measured windows%s)"
-    threads seq_s shards shard_s speedup cpus shard_r.Machine.shard.Machine.barriers
-    (List.length shard_r.Machine.sample_windows)
-    (if gated then "" else "; wall-clock gate skipped");
-  if gated && speedup < 2.0 then
-    failwith
-      (Printf.sprintf
-         "sharded-sampled: %.2fx with %d shards on a %d-CPU host — sharding the \
-          windows buys less than the promised 2x"
-         speedup shards cpus);
-  if not gated then mark_skipped "sharded-sampled";
-  sharded_sampled_row :=
-    Some
-      {
-        hs_cpus = cpus;
-        hs_cores = threads;
-        hs_shards = shards;
-        hs_seq_s = seq_s;
-        hs_shard_s = shard_s;
-        hs_barriers = shard_r.Machine.shard.Machine.barriers;
-        hs_windows = List.length shard_r.Machine.sample_windows;
-        hs_gated = gated;
-      }
-
-(* ------------------------------------------------------------------ *)
 (* Sampled-simulation artefact: the SMARTS-style interval estimator
    against the detailed engine on the 64-core MPMC point, asserting
    the per-metric error bound DESIGN §15 promises and (at full size)
@@ -678,7 +538,6 @@ let write_bench_json ~quick ~jobs path =
   add "  \"schema\": \"fence-scoping/bench-engine/v4\",\n";
   add "  \"quick\": %b,\n" quick;
   add "  \"jobs\": %d,\n" jobs;
-  add "  \"shard_domains\": %d,\n" (E.Exp_run.shard_domains ());
   add "  \"artefacts\": [";
   List.iteri
     (fun i (name, s) ->
@@ -713,29 +572,6 @@ let write_bench_json ~quick ~jobs path =
        \"seq_seconds\": %.3f, \"par_seconds\": %.3f, \"speedup\": %.2f}"
       js.js_cpus js.js_points js.js_jobs js.js_seq_s js.js_par_s
       (js.js_seq_s /. js.js_par_s));
-  (match !shard_scaling_row with
-  | None -> ()
-  | Some ss ->
-    add ",\n";
-    add
-      "  \"shard_scaling\": {\"cpus\": %d, \"cores\": %d, \"shards\": %d, \
-       \"seq_seconds\": %.3f, \"shard_seconds\": %.3f, \"shard_speedup\": %.2f, \
-       \"barriers_total\": %d, \"elided_cycles\": %d, \"bit_identical\": true}"
-      ss.ss_cpus ss.ss_cores ss.ss_shards ss.ss_seq_s ss.ss_shard_s
-      (ss.ss_seq_s /. ss.ss_shard_s)
-      ss.ss_barriers ss.ss_elided);
-  (match !sharded_sampled_row with
-  | None -> ()
-  | Some hs ->
-    add ",\n";
-    add
-      "  \"sharded_sampled\": {\"cpus\": %d, \"cores\": %d, \"shards\": %d, \
-       \"seq_seconds\": %.3f, \"shard_seconds\": %.3f, \"shard_speedup\": %.2f, \
-       \"barriers_total\": %d, \"measured_windows\": %d, \"wallclock_gated\": %b, \
-       \"bit_identical\": true}"
-      hs.hs_cpus hs.hs_cores hs.hs_shards hs.hs_seq_s hs.hs_shard_s
-      (hs.hs_seq_s /. hs.hs_shard_s)
-      hs.hs_barriers hs.hs_windows hs.hs_gated);
   (match !sampled_cmp_row with
   | None -> ()
   | Some sm ->
@@ -846,43 +682,61 @@ let artefacts ~quick =
     ("server", run_server ~quick);
     ("sampled", run_sampled_sim ~quick);
     ("jobs-scaling", run_jobs_scaling ~quick);
-    ("shard-scaling", run_shard_scaling ~quick);
-    ("sharded-sampled", run_sharded_sampled ~quick);
   ]
 
 let run_artefact (name, f) =
   let (), s = timed f in
   artefact_times := (name, s) :: !artefact_times
 
-(* "quick", "--jobs N" / "--jobs=N" and "--shard-domains N" /
-   "--shard-domains=N" are modifiers; everything else names an
-   artefact. *)
+(* "quick" and "--jobs N" / "--jobs=N" are modifiers; everything else
+   names an artefact, or is the lone word "bechamel".  A bad --jobs
+   value or an unknown name prints usage and exits 2 before any
+   artefact runs, so a misspelt artefact in a CI step fails loudly. *)
 let parse_args args =
+  let usage msg =
+    Printf.eprintf
+      "bench: %s\n\
+       usage: main.exe [quick] [--jobs N] [ARTEFACT ...]\n\
+      \       main.exe bechamel\n\
+       artefacts: %s\n"
+      msg
+      (String.concat ", " (List.map fst (artefacts ~quick:false)));
+    exit 2
+  in
+  let jobs_of n =
+    match int_of_string_opt n with
+    | Some j when j >= 1 -> j
+    | Some _ | None -> usage (Printf.sprintf "bad --jobs value %S" n)
+  in
   let prefixed prefix arg =
     let pl = String.length prefix in
     if String.length arg > pl && String.sub arg 0 pl = prefix then
       Some (String.sub arg pl (String.length arg - pl))
     else None
   in
-  let rec go quick jobs shards wanted = function
-    | [] -> (quick, jobs, shards, List.rev wanted)
-    | "quick" :: rest -> go true jobs shards wanted rest
-    | "--jobs" :: n :: rest -> go quick (int_of_string n) shards wanted rest
-    | "--shard-domains" :: n :: rest -> go quick jobs (int_of_string n) wanted rest
+  let rec go quick jobs wanted = function
+    | [] -> (quick, jobs, List.rev wanted)
+    | "quick" :: rest -> go true jobs wanted rest
+    | "--jobs" :: n :: rest -> go quick (jobs_of n) wanted rest
     | arg :: rest -> (
       match prefixed "--jobs=" arg with
-      | Some n -> go quick (int_of_string n) shards wanted rest
-      | None -> (
-        match prefixed "--shard-domains=" arg with
-        | Some n -> go quick jobs (int_of_string n) wanted rest
-        | None -> go quick jobs shards (arg :: wanted) rest))
+      | Some n -> go quick (jobs_of n) wanted rest
+      | None -> go quick jobs (arg :: wanted) rest)
   in
-  go false 1 1 [] args
+  let quick, jobs, wanted = go false 1 [] args in
+  (match wanted with
+  | [ "bechamel" ] -> ()
+  | names ->
+    List.iter
+      (fun name ->
+        if not (List.mem_assoc name (artefacts ~quick)) then
+          usage (Printf.sprintf "unknown artefact %s" name))
+      names);
+  (quick, jobs, wanted)
 
 let () =
-  let quick, jobs, shards, wanted = parse_args (Array.to_list Sys.argv |> List.tl) in
+  let quick, jobs, wanted = parse_args (Array.to_list Sys.argv |> List.tl) in
   E.Exp_run.set_jobs jobs;
-  E.Exp_run.set_shard_domains shards;
   match wanted with
   | [ "bechamel" ] -> run_bechamel ()
   | [] ->
@@ -896,14 +750,7 @@ let () =
     if !profile_inputs <> [] then write_profile_json ~quick "BENCH_profile.json";
     if !server_rows <> [] then write_server_json ~quick ~jobs "BENCH_server.json"
   | names ->
-    List.iter
-      (fun name ->
-        match List.assoc_opt name (artefacts ~quick) with
-        | Some f -> run_artefact (name, f)
-        | None ->
-          say "unknown artefact %s (have: %s, bechamel)" name
-            (String.concat ", " (List.map fst (artefacts ~quick))))
-      names;
+    List.iter (fun name -> run_artefact (name, List.assoc name (artefacts ~quick))) names;
     write_bench_json ~quick ~jobs "BENCH_engine.json";
     if !profile_inputs <> [] then write_profile_json ~quick "BENCH_profile.json";
     if !server_rows <> [] then write_server_json ~quick ~jobs "BENCH_server.json"

@@ -56,14 +56,13 @@ let guard f =
     Printf.eprintf "fscope: invalid JSON: %s\n" msg;
     1
 
-let build_config ?(no_elide = false) ~traditional ~speculate ~mem_latency ~rob ~fsb
-    ~mem_model ~no_spin_ff ~shard_domains () =
+let build_config ~traditional ~speculate ~mem_latency ~rob ~fsb ~mem_model ~no_spin_ff =
   Config.v ~sfence:(not traditional) ~speculation:speculate ?mem_latency ?rob_size:rob
-    ?fsb_entries:fsb ~mem_model ~elide_barriers:(not no_elide)
-    ~spin_fastforward:(not no_spin_ff) ~shard_domains ()
+    ?fsb_entries:fsb ~mem_model ~spin_fastforward:(not no_spin_ff) ()
 
 (* --sample accepts "default" or WARMUP:DETAILED:FF (instruction count
-   for the fast-forward leg, cycles for the two windows). *)
+   for the fast-forward leg, cycles for the two windows).  A triple the
+   engine would reject is a usage error, reported like any other. *)
 let parse_sampling = function
   | None -> None
   | Some "default" -> Some Config.sampling_default
@@ -71,8 +70,12 @@ let parse_sampling = function
     match String.split_on_char ':' spec with
     | [ w; d; f ] -> (
       match (int_of_string_opt w, int_of_string_opt d, int_of_string_opt f) with
-      | Some warmup, Some detailed, Some ff_instrs ->
-        Some { Config.warmup; detailed; ff_instrs }
+      | Some warmup, Some detailed, Some ff_instrs -> (
+        let s = { Config.warmup; detailed; ff_instrs } in
+        match Config.sampling_validate s with
+        | () -> Some s
+        | exception Invalid_argument msg ->
+          failwith (Printf.sprintf "bad --sample spec %S: %s" spec msg))
       | _ -> failwith (Printf.sprintf "bad --sample spec %S: non-integer field" spec))
     | _ ->
       failwith
@@ -124,13 +127,11 @@ let print_run_summary ~speculate ~sampled w (result : Machine.result) =
   end
 
 let cmd_run name level set_scope traditional speculate mem_latency rob fsb mem_model
-    no_spin_ff no_elide shard_domains sample checkpoint_every checkpoint_out rounds size
-    threads seed =
+    no_spin_ff sample checkpoint_every checkpoint_out rounds size threads seed =
   guard @@ fun () ->
   let w = find_workload name ~level ~set_scope ~rounds ~size ~threads ~seed in
   let config =
-    build_config ~no_elide ~traditional ~speculate ~mem_latency ~rob ~fsb ~mem_model
-      ~no_spin_ff ~shard_domains ()
+    build_config ~traditional ~speculate ~mem_latency ~rob ~fsb ~mem_model ~no_spin_ff
   in
   let sampling = parse_sampling sample in
   let config = Config.with_sampling sampling config in
@@ -182,12 +183,12 @@ let cmd_compare name level set_scope jobs =
   0
 
 let cmd_trace name level set_scope traditional speculate mem_latency rob fsb mem_model
-    shard_domains format output ring_capacity rounds size threads seed =
+    format output ring_capacity rounds size threads seed =
   guard @@ fun () ->
   let w = find_workload name ~level ~set_scope ~rounds ~size ~threads ~seed in
   let config =
     build_config ~traditional ~speculate ~mem_latency ~rob ~fsb ~mem_model
-      ~no_spin_ff:false ~shard_domains ()
+      ~no_spin_ff:false
   in
   let cores = Fscope_isa.Program.thread_count w.W.Workload.program in
   let trace = Obs.Trace.create ~ring_capacity ~cores () in
@@ -223,13 +224,11 @@ let cmd_trace name level set_scope traditional speculate mem_latency rob fsb mem
     else 0
 
 let cmd_profile name level set_scope traditional speculate no_fence mem_latency rob fsb
-    mem_model no_spin_ff shard_domains max_cycles profile_format output rounds size
-    threads seed =
+    mem_model no_spin_ff max_cycles profile_format output rounds size threads seed =
   guard @@ fun () ->
   let w = find_workload name ~level ~set_scope ~rounds ~size ~threads ~seed in
   let config =
     build_config ~traditional ~speculate ~mem_latency ~rob ~fsb ~mem_model ~no_spin_ff
-      ~shard_domains ()
   in
   let config = if no_fence then Config.with_nop_fences true config else config in
   let config =
@@ -250,14 +249,14 @@ let cmd_profile name level set_scope traditional speculate no_fence mem_latency 
     Printf.eprintf "wrote %s\n" file);
   0
 
-let cmd_advise name level set_scope mem_latency rob fsb mem_model no_spin_ff
-    shard_domains jobs max_cycles advise_format output rounds size threads seed =
+let cmd_advise name level set_scope mem_latency rob fsb mem_model no_spin_ff jobs
+    max_cycles advise_format output rounds size threads seed =
   guard @@ fun () ->
   E.Exp_run.set_jobs jobs;
   let w = find_workload name ~level ~set_scope ~rounds ~size ~threads ~seed in
   let config =
     build_config ~traditional:false ~speculate:false ~mem_latency ~rob ~fsb ~mem_model
-      ~no_spin_ff ~shard_domains ()
+      ~no_spin_ff
   in
   let config =
     match max_cycles with Some n -> Config.with_max_cycles n config | None -> config
@@ -337,13 +336,12 @@ let cmd_disasm name level set_scope =
 exception Captured
 
 let cmd_checkpoint_save name level set_scope traditional speculate mem_latency rob fsb
-    mem_model no_spin_ff shard_domains rounds size threads seed at out compact =
+    mem_model no_spin_ff rounds size threads seed at out compact =
   guard @@ fun () ->
   if at <= 0 then failwith "--at must be positive";
   let w = find_workload name ~level ~set_scope ~rounds ~size ~threads ~seed in
   let config =
     build_config ~traditional ~speculate ~mem_latency ~rob ~fsb ~mem_model ~no_spin_ff
-      ~shard_domains ()
   in
   let saved = ref None in
   let sink ck =
@@ -373,12 +371,11 @@ let cmd_checkpoint_save name level set_scope traditional speculate mem_latency r
     1
 
 let cmd_checkpoint_resume name level set_scope traditional speculate mem_latency rob fsb
-    mem_model no_spin_ff shard_domains max_cycles rounds size threads seed from =
+    mem_model no_spin_ff max_cycles rounds size threads seed from =
   guard @@ fun () ->
   let w = find_workload name ~level ~set_scope ~rounds ~size ~threads ~seed in
   let config =
     build_config ~traditional ~speculate ~mem_latency ~rob ~fsb ~mem_model ~no_spin_ff
-      ~shard_domains ()
   in
   let config =
     match max_cycles with Some n -> Config.with_max_cycles n config | None -> config
@@ -428,16 +425,6 @@ let mem_model_arg =
            $(b,ideal) (every access a 1-cycle hit — isolates pipeline effects from the \
            memory system).")
 
-let shard_domains_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "shard-domains" ] ~docv:"N"
-        ~doc:
-          "Split the simulated machine's cores across $(docv) OCaml domains (default 1: \
-           the sequential engine loop).  Timing-neutral: the sharded engine is \
-           bit-identical to the sequential one — this only trades simulator \
-           wall-clock on multi-core hosts.")
-
 let no_spin_ff_arg =
   Arg.(
     value & flag
@@ -447,16 +434,6 @@ let no_spin_ff_arg =
            until a cross-core store wakes them).  Timing-neutral: results are \
            bit-identical either way; this only trades simulator wall-clock for a \
            simpler execution.")
-
-let no_elide_arg =
-  Arg.(
-    value & flag
-    & info [ "no-elide-barriers" ]
-        ~doc:
-          "Run every sharded cycle in full lockstep instead of eliding barriers over \
-           provably non-interacting spans.  Timing-neutral diagnostic: results are \
-           bit-identical either way; only the sharded engine's barrier counters \
-           change.  No effect without $(b,--shard-domains).")
 
 let format_arg =
   Arg.(
@@ -498,8 +475,8 @@ let sample_arg =
     & opt (some string) None
     & info [ "sample" ] ~docv:"SPEC"
         ~doc:
-          "Interval sampling: $(b,default) (2k-cycle warmup, 10k-cycle detailed window, \
-           200k-instruction functional fast-forward) or an explicit \
+          "Interval sampling: $(b,default) (500-cycle warmup, 1k-cycle detailed window, \
+           20k-instruction functional fast-forward per core) or an explicit \
            $(b,WARMUP:DETAILED:FF) triple.  Cycle-valued metrics become extrapolated \
            estimates; committed-instruction counts, final memory and validation stay \
            exact.  See DESIGN §15 for the error contract.")
@@ -512,9 +489,8 @@ let checkpoint_every_arg =
         ~doc:
           "Write a whole-machine checkpoint to $(b,--checkpoint-out) at (roughly) every \
            $(docv) cycles, each overwriting the last — a crashed or cancelled run can \
-           be resumed with $(b,fscope checkpoint resume).  Composes with \
-           $(b,--shard-domains): the sharded engine captures at the same cycles as \
-           the sequential one.  Incompatible with $(b,--sample).")
+           be resumed with $(b,fscope checkpoint resume).  Incompatible with \
+           $(b,--sample).")
 
 let checkpoint_out_arg =
   Arg.(
@@ -565,8 +541,7 @@ let run_cmd =
     Term.(
       const cmd_run $ workload_arg $ level_arg $ set_scope_arg $ traditional_arg
       $ speculate_arg $ mem_latency_arg $ rob_arg $ fsb_arg $ mem_model_arg
-      $ no_spin_ff_arg $ no_elide_arg $ shard_domains_arg $ sample_arg
-      $ checkpoint_every_arg $ checkpoint_out_arg $ rounds_arg $ size_arg $ threads_arg
+      $ no_spin_ff_arg $ sample_arg $ checkpoint_every_arg $ checkpoint_out_arg $ rounds_arg $ size_arg $ threads_arg
       $ seed_arg)
 
 let compare_cmd =
@@ -581,7 +556,7 @@ let trace_cmd =
     Term.(
       const cmd_trace $ workload_arg $ level_arg $ set_scope_arg $ traditional_arg
       $ speculate_arg $ mem_latency_arg $ rob_arg $ fsb_arg $ mem_model_arg
-      $ shard_domains_arg $ format_arg $ output_arg $ ring_arg $ rounds_arg $ size_arg
+      $ format_arg $ output_arg $ ring_arg $ rounds_arg $ size_arg
       $ threads_arg $ seed_arg)
 
 let no_fence_arg =
@@ -613,7 +588,7 @@ let profile_cmd =
     Term.(
       const cmd_profile $ workload_arg $ level_arg $ set_scope_arg $ traditional_arg
       $ speculate_arg $ no_fence_arg $ mem_latency_arg $ rob_arg $ fsb_arg
-      $ mem_model_arg $ no_spin_ff_arg $ shard_domains_arg $ max_cycles_arg
+      $ mem_model_arg $ no_spin_ff_arg $ max_cycles_arg
       $ profile_format_arg $ output_arg $ rounds_arg $ size_arg $ threads_arg
       $ seed_arg)
 
@@ -633,7 +608,7 @@ let advise_cmd =
           whole-run speedup prediction")
     Term.(
       const cmd_advise $ workload_arg $ level_arg $ set_scope_arg $ mem_latency_arg
-      $ rob_arg $ fsb_arg $ mem_model_arg $ no_spin_ff_arg $ shard_domains_arg
+      $ rob_arg $ fsb_arg $ mem_model_arg $ no_spin_ff_arg
       $ jobs_arg $ max_cycles_arg $ advise_format_arg $ output_arg $ rounds_arg
       $ size_arg $ threads_arg $ seed_arg)
 
@@ -696,7 +671,7 @@ let checkpoint_save_cmd =
     Term.(
       const cmd_checkpoint_save $ workload_arg $ level_arg $ set_scope_arg
       $ traditional_arg $ speculate_arg $ mem_latency_arg $ rob_arg $ fsb_arg
-      $ mem_model_arg $ no_spin_ff_arg $ shard_domains_arg $ rounds_arg $ size_arg
+      $ mem_model_arg $ no_spin_ff_arg $ rounds_arg $ size_arg
       $ threads_arg $ seed_arg $ at_arg $ ckpt_out_arg $ compact_arg)
 
 let checkpoint_resume_cmd =
@@ -710,7 +685,7 @@ let checkpoint_resume_cmd =
     Term.(
       const cmd_checkpoint_resume $ workload_arg $ level_arg $ set_scope_arg
       $ traditional_arg $ speculate_arg $ mem_latency_arg $ rob_arg $ fsb_arg
-      $ mem_model_arg $ no_spin_ff_arg $ shard_domains_arg $ max_cycles_arg
+      $ mem_model_arg $ no_spin_ff_arg $ max_cycles_arg
       $ rounds_arg $ size_arg $ threads_arg $ seed_arg $ from_arg)
 
 let checkpoint_cmd =

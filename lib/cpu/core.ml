@@ -162,131 +162,6 @@ let spin_poll = Core_spin.poll
 let spin_cancel = Core_spin.cancel
 let spin_replay (t : t) ~stable ~k = Core_spin.replay t ~stable ~k
 
-(* Shard-classification predicates for the domain-sharded engine: may
-   the core's next sub-step touch state shared between cores?  Each
-   over-approximates (a [true] only costs parallelism; a missed [true]
-   would break bit-identity), and each is exact enough to matter. *)
-
-(* Phase 1 (complete-writes) touches shared memory iff a store-buffer
-   entry drains this cycle or a CAS reaches its completion point.
-   Exact at the time the engine asks (phase-1 start): phase 1 never
-   creates new completions. *)
-let writes_pending (t : t) ~cycle =
-  let pending = ref false in
-  Store_buffer.iter t.sb (fun en -> if en.done_at <= cycle then pending := true);
-  if not !pending then
-    Rob.iter t.rob (fun e ->
-        match (e.instr, e.state) with
-        | Fscope_isa.Instr.Cas _, Rob.Executing d -> if d <= cycle then pending := true
-        | _, (Rob.Waiting | Rob.Executing _ | Rob.Done) -> ());
-  !pending
-
-(* Phase 3 (pipeline) reaches the memory port — and under the cache
-   hierarchy model, shared directory/stats state even on an L1 hit —
-   in exactly three places: a store committing into the store buffer,
-   a load issuing, a CAS issuing.  Stores can commit from any ROB
-   state; loads and CAS issue only out of [Waiting].  Dispatch runs
-   after issue within the step, so entries appearing this cycle cannot
-   also issue this cycle and the phase-start answer is sound. *)
-let may_touch_mem (t : t) =
-  (not t.halted)
-  &&
-  let touch = ref false in
-  Rob.iter t.rob (fun e ->
-      match (e.instr, e.state) with
-      | Fscope_isa.Instr.Store _, _ -> touch := true
-      | (Fscope_isa.Instr.Load _ | Fscope_isa.Instr.Cas _), Rob.Waiting -> touch := true
-      | _, (Rob.Waiting | Rob.Executing _ | Rob.Done) -> ());
-  !touch
-
-(* Can this phase-3 step end with an armed spin-stability certificate
-   (and therefore a sleep transition, which registers shared watches)?
-   Arming inside [Core_spin.on_boundary] compares against a snapshot
-   taken at a PREVIOUS boundary, so [pr_snap = None] at phase start
-   guarantees {!spin_poll} returns [None] this cycle. *)
-let spin_may_arm (t : t) =
-  t.spin_probe.pr_enabled && t.spin_probe.pr_snap <> None
-
-(* Whole-cycle FREE horizon for barrier elision.  [quiet_until t ~from
-   ~cap ~hier] returns the largest cycle X in [from-1, cap] such that
-   stepping this core through cycles [from..X] provably performs no
-   shared-state step: no store-buffer drain or CAS write reaches
-   memory, no ordered phase-3 step runs, no spin certificate can arm
-   (so no sleep transition registers watches), and the core cannot
-   halt (so the engine's drain bookkeeping stays untouched).  [from-1]
-   means "no quiet span at all".  Three sources bound the horizon:
-
-   - the store buffer: the earliest [done_at] writes memory, so the
-     span must end strictly before it;
-   - the ROB: any in-flight Store / Cas / Branch / Halt (plus Load
-     under the cache hierarchy, where even a hit bumps directory
-     state) can act at unpredictable cycles once present, so its mere
-     presence collapses the horizon;
-   - the fetch stream: walking the static code from [fetch_pc]
-     (following unconditional jumps, assuming fetch restarts at
-     [max from fetch_resume] and sustains the full fetch width — both
-     earliest-possible, therefore conservative) bounds the first cycle
-     an unsafe instruction can enter the ROB; the span ends strictly
-     before that fetch cycle.  No Branch in the ROB or in the walked
-     prefix means nothing can redirect fetch off the walked path, and
-     ROB-full back-pressure only delays fetch, never hastens it.
-
-   The walk is capped at [stream_walk_slots] budget slots so a pure
-   jump/ALU loop terminates; stopping early just shortens the proven
-   span, never unsounds it. *)
-let stream_walk_slots = 1024
-
-let quiet_until (t : t) ~from ~cap ~hier =
-  let bound = ref cap in
-  let cut c = if c < !bound then bound := c in
-  Store_buffer.iter t.sb (fun en -> cut (en.done_at - 1));
-  if not t.halted then begin
-    if spin_may_arm t then cut (from - 1);
-    Rob.iter t.rob (fun e ->
-        match e.instr with
-        | Fscope_isa.Instr.Store _ | Fscope_isa.Instr.Cas _ | Fscope_isa.Instr.Branch _
-        | Fscope_isa.Instr.Halt -> cut (from - 1)
-        | Fscope_isa.Instr.Load _ -> if hier then cut (from - 1)
-        | Fscope_isa.Instr.Nop | Fscope_isa.Instr.Li _ | Fscope_isa.Instr.Alu _
-        | Fscope_isa.Instr.Tid _ | Fscope_isa.Instr.Jump _ | Fscope_isa.Instr.Fence _
-        | Fscope_isa.Instr.Fs_start _ | Fscope_isa.Instr.Fs_end _ -> ());
-    if (not t.fetch_stopped) && !bound >= from then begin
-      let width = max 1 t.cfg.Exec_config.fetch_width in
-      let first = max from t.fetch_resume in
-      let len = Array.length t.code in
-      let pc = ref t.fetch_pc in
-      let slots = ref 0 in
-      let scanning = ref true in
-      while !scanning do
-        let fetch_cycle = first + (!slots / width) in
-        if !pc < 0 || !pc >= len then scanning := false (* fetch runs dry *)
-        else if fetch_cycle > !bound then scanning := false
-        else if !slots >= stream_walk_slots then begin
-          cut (fetch_cycle - 1);
-          scanning := false
-        end
-        else
-          match t.code.(!pc) with
-          | Fscope_isa.Instr.Store _ | Fscope_isa.Instr.Cas _
-          | Fscope_isa.Instr.Branch _ | Fscope_isa.Instr.Halt ->
-            cut (fetch_cycle - 1);
-            scanning := false
-          | Fscope_isa.Instr.Load _ when hier ->
-            cut (fetch_cycle - 1);
-            scanning := false
-          | Fscope_isa.Instr.Jump target ->
-            incr slots;
-            pc := target
-          | Fscope_isa.Instr.Nop | Fscope_isa.Instr.Li _ | Fscope_isa.Instr.Alu _
-          | Fscope_isa.Instr.Tid _ | Fscope_isa.Instr.Load _ | Fscope_isa.Instr.Fence _
-          | Fscope_isa.Instr.Fs_start _ | Fscope_isa.Instr.Fs_end _ ->
-            incr slots;
-            incr pc
-      done
-    end
-  end;
-  max (from - 1) !bound
-
 let next_wake (t : t) ~cycle =
   let m = ref max_int in
   let consider d = if d > cycle && d < !m then m := d in

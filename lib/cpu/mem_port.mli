@@ -6,8 +6,8 @@
     completes) plus data-plane access to the flat backing store.  The
     machine layer constructs the port from the concrete cache
     hierarchy and the shared memory image; the core never sees either,
-    which is the seam alternative memory models (sharded backends,
-    trace-driven replay, idealized memory) plug into.
+    which is the seam alternative memory models (trace-driven replay,
+    idealized memory) plug into.
 
     Contracts the core relies on:
     - [issue] both *simulates* the access (mutating whatever timing

@@ -59,14 +59,6 @@ let jobs_ref = ref 1
 let set_jobs n = jobs_ref := max 1 n
 let jobs () = !jobs_ref
 
-(* Intra-run parallelism: how many domains a single big simulated
-   machine is sharded across (Config.shard_domains for the points that
-   opt in, e.g. the server suite's 64-core point).  Orthogonal to
-   [jobs], which fans out across independent points. *)
-let shard_domains_ref = ref 1
-let set_shard_domains n = shard_domains_ref := max 1 n
-let shard_domains () = !shard_domains_ref
-
 let parmap ~jobs f (inputs : _ array) =
   let n = Array.length inputs in
   let out = Array.make n None in

@@ -57,17 +57,6 @@ val set_jobs : int -> unit
 
 val jobs : unit -> int
 
-val set_shard_domains : int -> unit
-(** Number of domains a single simulated machine's cores are split
-    across, for the experiment points that opt in (the server suite's
-    big-machine point applies it via [Config.with_shard_domains]).
-    Clamped to at least 1; default 1 = the sequential engine loop.
-    Process-global: the CLIs' [--shard-domains] flag sets it once at
-    startup.  Orthogonal to {!set_jobs}, which fans out across
-    independent points. *)
-
-val shard_domains : unit -> int
-
 val parmap : jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** Generic deterministic fan-out over domains: applies [f] to every
     element (work-stealing by atomic index) and returns results in

@@ -41,4 +41,4 @@ val advise_inputs :
     given base config with {!Exp_run.t_config} / {!Exp_run.s_config}
     and fanned across {!Exp_run.jobs} domains — the pair
     {!Fscope_obs.Advisor.analyze} consumes.  Deterministic: the pair
-    is bit-identical for any job count or shard count. *)
+    is bit-identical for any job count. *)

@@ -75,7 +75,6 @@ let strip_spin (r : Machine.result) =
   {
     r with
     Machine.spin = { Machine.sleeps = 0; cycles_skipped = 0; wakes = 0 };
-    shard = Machine.no_shard_ctrs;
   }
 
 (* Nearest-rank percentile over the log2-bucket histogram, reported as
@@ -242,9 +241,9 @@ let eval pt =
   }
 
 (* Window-restricted per-request latencies for a sampled point: a
-   second, traced sampled run (sequential detailed windows — the
-   estimator is bit-identical for any shard count, which we assert via
-   the cycle estimate) keeps only the inject/retire drain markers, and
+   second, traced sampled run (tracing must not move the estimate,
+   which we assert via the cycle count) keeps only the inject/retire
+   drain markers, and
    only pairs whose BOTH endpoints landed inside one measured window
    survive — a pair spanning a functional gap would count unsimulated
    fast-forward cycles.  The tail is thus exact over the covered
@@ -334,13 +333,8 @@ let points ~quick =
   let threads = if quick then 4 else 8 in
   let per = if quick then 8 else 24 in
   let steal_reqs = if quick then 24 else 96 in
-  (* Server machines honour the global --shard-domains knob: every
-     point then runs the domain-sharded engine, and eval's
-     engine-vs-reference check becomes a sharded-vs-sequential
-     bit-identity assertion. *)
-  let shard c = Config.with_shard_domains (Exp_run.shard_domains ()) c in
-  let t = shard (Exp_run.t_config Config.default) in
-  let s = shard (Exp_run.s_config Config.default) in
+  let t = Exp_run.t_config Config.default in
+  let s = Exp_run.s_config Config.default in
   let per_workload ?lat_threads name requests build =
     [
       (name, "T", t, (fun () -> build `Class));
@@ -357,11 +351,9 @@ let points ~quick =
              pt_lat_threads = lat_threads;
            })
   in
-  (* The scale point: one 64-core MPMC machine, the shape the sharded
-     engine exists for.  Quick keeps the request count small so the
-     point still runs everywhere; full is the 64-core x 10k-request
-     configuration from the issue.  Sharding comes from the global
-     --shard-domains knob via the config, like every other point. *)
+  (* The scale point: one 64-core MPMC machine.  Quick keeps the
+     request count small so the point still runs everywhere; full is
+     the 64-core x 10k-request configuration. *)
   let big_threads = 64 in
   let big_per = if quick then 4 else 625 in
   per_workload "server-mpmc"
@@ -390,9 +382,11 @@ let run ?(quick = false) () =
   Array.to_list
     (Exp_run.parmap ~jobs:(Exp_run.jobs ()) eval (Array.of_list (points ~quick)))
 
-(* Quick points are a few thousand cycles end to end — smaller than
-   the default 10k-cycle detailed window — so quick mode shrinks the
-   sampling schedule until the estimator actually alternates. *)
+(* Quick points are a few thousand cycles end to end.  Under
+   [Config.sampling_default] (500-cycle warmup, 1k-cycle detailed
+   window, 20k-instruction fast-forward per core) the first
+   fast-forward leg would swallow the rest of the run, so quick mode
+   shortens the legs until the estimator actually alternates. *)
 let sampled_sampling ~quick =
   if quick then { Config.warmup = 200; detailed = 2_000; ff_instrs = 2_000 }
   else Config.sampling_default
@@ -403,16 +397,8 @@ let sampled_sampling ~quick =
    only exists sampled; a detailed 256-core run is what the estimator
    is for. *)
 let sampled_points ~quick =
-  (* Sampled points honour --shard-domains too: the untraced run then
-     shards its detailed windows, while the traced latency run stays
-     sequential — the cycle-estimate assertion in [sampled_latencies]
-     doubles as a sharded/sequential sampled bit-identity check. *)
   let s =
-    Config.with_shard_domains
-      (Exp_run.shard_domains ())
-      (Config.with_sampling
-         (Some (sampled_sampling ~quick))
-         (Exp_run.s_config Config.default))
+    Config.with_sampling (Some (sampled_sampling ~quick)) (Exp_run.s_config Config.default)
   in
   let point threads per =
     {

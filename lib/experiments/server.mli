@@ -65,18 +65,14 @@ type row = {
 val run : ?quick:bool -> unit -> row list
 (** Ten points (3 workloads x T/S/S-set, plus one 64-core MPMC scale
     point), fanned across {!Exp_run.jobs} domains; results are in
-    point order and independent of the job count.  Machine configs
-    honour {!Exp_run.shard_domains}, so with [--shard-domains N] every
-    point runs the domain-sharded engine and the per-point
-    engine-vs-reference check asserts sharded/sequential
-    bit-identity. *)
+    point order and independent of the job count. *)
 
 val sampled_sampling : quick:bool -> Fscope_machine.Config.sampling
 (** The sampling schedule the sampled points run under:
     {!Fscope_machine.Config.sampling_default} at full size, a shrunken
-    schedule in quick mode (quick points are smaller than the default
-    detailed window, so the estimator would otherwise never leave its
-    first window). *)
+    schedule in quick mode (quick points are a few thousand cycles, so
+    the default's 20k-instruction fast-forward legs would swallow the
+    run after its first window). *)
 
 val run_sampled : ?quick:bool -> unit -> row list
 (** The interval-sampled scale points: the 64-core MPMC machine again
@@ -84,10 +80,9 @@ val run_sampled : ?quick:bool -> unit -> row list
     win against the detailed row) and the 256-core MPMC machine, which
     only exists sampled.  Rows carry [sv_sampled = true], validate
     functionally like every other point, and fill the latency columns
-    from the measured-window extraction ([sv_lat_sampled]).  Machine
-    configs honour {!Exp_run.shard_domains}: the untraced run shards
-    its detailed windows, and the traced latency run's cycle estimate
-    must reproduce it exactly. *)
+    from the measured-window extraction ([sv_lat_sampled]).  The
+    traced latency run's cycle estimate must reproduce the untraced
+    run's exactly. *)
 
 val table : row list -> Fscope_util.Table.t
 

@@ -113,42 +113,6 @@ let load_engine ~file j =
         };
       ]
   in
-  (* The shard objects (v4): wall-clock compares only across equal
-     hosts, so speedup/seconds stay Gate_wall; the barrier and elision
-     counters are engine diagnostics — a rewrite legitimately moves
-     them, so they are context (Gate_never), never a gate. *)
-  let shard_point ~obj ~key extras =
-    match Json.member obj j with
-    | None -> []
-    | Some ss ->
-      let ctx = obj in
-      [
-        {
-          p_key = key;
-          p_metrics =
-            [
-              metric ~gate:Gate_wall ~dir:Lower_better "seq_seconds"
-                (num ~file ~ctx ss "seq_seconds");
-              metric ~gate:Gate_wall ~dir:Lower_better "shard_seconds"
-                (num ~file ~ctx ss "shard_seconds");
-              metric ~gate:Gate_wall ~dir:Higher_better "shard_speedup"
-                (num ~file ~ctx ss "shard_speedup");
-            ]
-            @ List.filter_map
-                (fun name ->
-                  Option.map
-                    (fun v -> metric ~gate:Gate_never ~dir:Lower_better name v)
-                    (num_opt ss name))
-                extras;
-        };
-      ]
-  in
-  let shard_points =
-    shard_point ~obj:"shard_scaling" ~key:"engine/shard-scaling"
-      [ "barriers_total"; "elided_cycles" ]
-    @ shard_point ~obj:"sharded_sampled" ~key:"engine/sharded-sampled"
-        [ "barriers_total"; "measured_windows" ]
-  in
   let engine_points =
     List.map
       (fun r ->
@@ -180,7 +144,7 @@ let load_engine ~file j =
         };
       ]
   in
-  artefact_points @ sampled_points @ shard_points @ engine_points @ totals
+  artefact_points @ sampled_points @ engine_points @ totals
 
 (* One profile object is Obs.Profile.json output: the fence share is
    recomputed here from the CPI leaves so older artefacts (which never

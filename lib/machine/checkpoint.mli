@@ -5,17 +5,14 @@
     the cache hierarchy and the engine's wake array — as one JSON
     document.  Configuration and instructions are not stored; the
     caller rebuilds both and {!validate} checks them against the
-    embedded digest.  Both the sequential and the sharded detailed
-    engines capture and restore checkpoints — the sharded loop takes
-    its snapshot inside the top-of-cycle publish window, where every
-    shard is quiescent, so a checkpoint written under any
-    [shard_domains] resumes bit-identically under any other. *)
+    embedded digest.  The detailed engine ({!Sim_engine.run})
+    captures and restores checkpoints. *)
 
 type t = {
   cycle : int;  (** the engine resumes at the top of this cycle *)
   digest : string;
       (** MD5 over exec/mem/scope configs and the full program image;
-          wall-clock knobs ([max_cycles], [shard_domains], [sampling])
+          wall-clock knobs ([max_cycles], [sampling])
           are excluded so a resume may extend the budget *)
   wake : int array;
       (** per-core event horizons, verbatim — frozen cores' skipped

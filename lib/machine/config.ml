@@ -27,17 +27,15 @@ type t = {
   mem_model : mem_model;
   scope : Fscope_core.Scope_unit.config;
   max_cycles : int;
-  shard_domains : int;
-  elide_barriers : bool;
   sampling : sampling option;
 }
 
 let make ?(exec = Fscope_cpu.Exec_config.default)
     ?(mem = Fscope_mem.Hierarchy.default_config) ?(mem_model = Hierarchy)
-    ?(scope = Fscope_core.Scope_unit.default_config) ?(max_cycles = 30_000_000)
-    ?(shard_domains = 1) ?(elide_barriers = true) ?sampling () =
+    ?(scope = Fscope_core.Scope_unit.default_config) ?(max_cycles = 30_000_000) ?sampling
+    () =
   Option.iter sampling_validate sampling;
-  { exec; mem; mem_model; scope; max_cycles; shard_domains; elide_barriers; sampling }
+  { exec; mem; mem_model; scope; max_cycles; sampling }
 
 let mem_model_name = function Hierarchy -> "hierarchy" | Ideal -> "ideal"
 
@@ -52,10 +50,12 @@ let default = make ()
    of: start from [base] (the Table III machine when omitted) and
    override exactly the named knobs.  An omitted argument leaves the
    base's value untouched, so refinements compose:
-   [v ~base:(v ~sfence:false ()) ~mem_latency:500 ()]. *)
+   [v ~base:(v ~sfence:false ()) ~mem_latency:500 ()].  [shard_domains]
+   is accepted only as 1 and stored nowhere (see the interface). *)
 let v ?(base = default) ?sfence ?speculation ?nop_fences ?spin_fastforward ?mem_model
     ?mem_latency ?rob_size ?fsb_entries ?fss_entries ?mt_entries ?max_cycles
-    ?shard_domains ?elide_barriers ?sampling () =
+    ?(shard_domains = 1) ?sampling () =
+  if shard_domains <> 1 then invalid_arg "Config.v: shard_domains must be 1";
   let opt v dflt = Option.value v ~default:dflt in
   let sampling = opt sampling base.sampling in
   Option.iter sampling_validate sampling;
@@ -78,8 +78,6 @@ let v ?(base = default) ?sfence ?speculation ?nop_fences ?spin_fastforward ?mem_
         mt_entries = opt mt_entries base.scope.mt_entries;
       };
     max_cycles = opt max_cycles base.max_cycles;
-    shard_domains = opt shard_domains base.shard_domains;
-    elide_barriers = opt elide_barriers base.elide_barriers;
     sampling;
   }
 
@@ -95,6 +93,4 @@ let with_mt_entries n t = v ~base:t ~mt_entries:n ()
 let with_max_cycles n t = v ~base:t ~max_cycles:n ()
 let with_mem_model m t = v ~base:t ~mem_model:m ()
 let with_spin_fastforward on t = v ~base:t ~spin_fastforward:on ()
-let with_shard_domains n t = v ~base:t ~shard_domains:n ()
-let with_elide_barriers on t = v ~base:t ~elide_barriers:on ()
 let with_sampling s t = v ~base:t ~sampling:s ()

@@ -32,6 +32,11 @@ type sampling = {
           between windows *)
 }
 
+val sampling_validate : sampling -> unit
+(** Raises [Invalid_argument] unless the detailed window and the
+    fast-forward count are positive and the warmup is non-negative;
+    {!make} and {!v} run it on every sampling they are given. *)
+
 val sampling_default : sampling
 (** 500 warmup / 1k detailed / 20k fast-forward — many short windows
     at roughly a 5%% measured duty cycle, which samples phases densely
@@ -44,20 +49,9 @@ type t = {
   mem_model : mem_model;
   scope : Fscope_core.Scope_unit.config;
   max_cycles : int;  (** runaway guard; a run reaching it is reported as timed out *)
-  shard_domains : int;
-      (** partition the machine's cores across this many OCaml domains
-          (default 1 = the sequential engine).  Results are
-          bit-identical for any value — this only trades simulator
-          wall-clock; see DESIGN.md §13. *)
-  elide_barriers : bool;
-      (** let the sharded engine collapse provably non-interacting
-          cycle spans to a single barrier (default [true]).
-          Bit-identical either way — wall-clock and barrier-count
-          only; see DESIGN.md §16. *)
   sampling : sampling option;
-      (** [Some _] selects the sampled engine (untraced runs shard
-          their detailed windows across [shard_domains]); [None] (the
-          default) is exact detailed simulation. *)
+      (** [Some _] selects the sampled engine; [None] (the default) is
+          exact detailed simulation. *)
 }
 
 val make :
@@ -66,8 +60,6 @@ val make :
   ?mem_model:mem_model ->
   ?scope:Fscope_core.Scope_unit.config ->
   ?max_cycles:int ->
-  ?shard_domains:int ->
-  ?elide_barriers:bool ->
   ?sampling:sampling ->
   unit ->
   t
@@ -99,7 +91,6 @@ val v :
   ?mt_entries:int ->
   ?max_cycles:int ->
   ?shard_domains:int ->
-  ?elide_barriers:bool ->
   ?sampling:sampling option ->
   unit ->
   t
@@ -115,7 +106,11 @@ val v :
     - [spin_fastforward]: the engine's spin sleep/replay optimisation
       (bit-identical results either way, wall-clock only);
     - [mem_model], [mem_latency], [rob_size], [fsb_entries],
-      [fss_entries], [mt_entries], [max_cycles]: as the record fields.
+      [fss_entries], [mt_entries], [max_cycles]: as the record fields;
+    - [shard_domains]: exists only so [perfbench/bench.ml], which
+      passes [~shard_domains:1], still compiles.  It is stored
+      nowhere: 1 is accepted, any other value raises
+      [Invalid_argument].
 
     Omitted arguments keep the base's value, so refinements compose:
     [v ~base:(v ~sfence:false ()) ~mem_latency:500 ()].  Every
@@ -163,15 +158,6 @@ val with_spin_fastforward : bool -> t -> t
 (** Toggle the engine's spin fast-forward (default on; off = the
     engine steps spinning cores cycle by cycle as before).  Results
     are bit-identical either way — this only trades wall-clock. *)
-
-val with_shard_domains : int -> t -> t
-(** Partition the machine's cores across [n] OCaml domains (default 1
-    = the sequential engine).  Bit-identical for any [n]; wall-clock
-    only.  Values above the core count are clamped by the engine. *)
-
-val with_elide_barriers : bool -> t -> t
-(** Toggle barrier elision in the sharded engine (default on).
-    Bit-identical either way — wall-clock and barrier-count only. *)
 
 val with_sampling : sampling option -> t -> t
 (** Select ([Some]) or clear ([None]) interval sampling. *)

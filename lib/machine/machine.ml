@@ -8,13 +8,6 @@ type spin_ff = {
   wakes : int;
 }
 
-type shard_ctrs = {
-  barriers : int;
-  elided_cycles : int;
-}
-
-let no_shard_ctrs = { barriers = 0; elided_cycles = 0 }
-
 type result = {
   cycles : int;
   timed_out : bool;
@@ -23,7 +16,6 @@ type result = {
   mem : int array;
   cache : Hierarchy.stats;
   spin : spin_ff;
-  shard : shard_ctrs;
   sample_windows : (int * int) list;
   obs : Obs.Report.t option;
 }
@@ -98,11 +90,9 @@ let snapshot_stats trace r =
   set "engine/spin_ff_sleeps" r.spin.sleeps;
   set "engine/spin_ff_cycles_skipped" r.spin.cycles_skipped;
   set "engine/spin_ff_wakes" r.spin.wakes;
-  set "shard/barriers_total" r.shard.barriers;
-  set "shard/elided_cycles" r.shard.elided_cycles;
   set "machine/cycles" r.cycles
 
-let finish ~obs ~shard_domains (raw : Sim_engine.raw) =
+let finish ~obs (raw : Sim_engine.raw) =
   let result =
     {
       cycles = raw.Sim_engine.cycles;
@@ -117,11 +107,6 @@ let finish ~obs ~shard_domains (raw : Sim_engine.raw) =
           cycles_skipped = raw.Sim_engine.spin.Sim_engine.cycles_skipped;
           wakes = raw.Sim_engine.spin.Sim_engine.wakes;
         };
-      shard =
-        {
-          barriers = raw.Sim_engine.shard.Sim_engine.barriers;
-          elided_cycles = raw.Sim_engine.shard.Sim_engine.elided_cycles;
-        };
       sample_windows = raw.Sim_engine.windows;
       obs = None;
     }
@@ -132,16 +117,13 @@ let finish ~obs ~shard_domains (raw : Sim_engine.raw) =
       result with
       obs =
         Some
-          (Obs.Report.of_trace ~cycles:result.cycles ~timed_out:result.timed_out
-             ~shard_domains obs);
+          (Obs.Report.of_trace ~cycles:result.cycles ~timed_out:result.timed_out obs);
     }
   end
   else result
 
 let run ?(obs = Obs.Trace.null) ?checkpoint ?resume (config : Config.t) program =
-  finish ~obs ~shard_domains:config.Config.shard_domains
-    (Sim_engine.run ~obs ?checkpoint ?resume config program)
+  finish ~obs (Sim_engine.run ~obs ?checkpoint ?resume config program)
 
 let run_reference ?(obs = Obs.Trace.null) (config : Config.t) program =
-  finish ~obs ~shard_domains:config.Config.shard_domains
-    (Sim_engine.run_naive ~obs config program)
+  finish ~obs (Sim_engine.run_naive ~obs config program)

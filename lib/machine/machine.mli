@@ -26,20 +26,6 @@ type spin_ff = {
     bit-identity contract between the two loops — they describe how the
     engine got to the result, not the result. *)
 
-type shard_ctrs = {
-  barriers : int;  (** barrier generations the sharded loop crossed *)
-  elided_cycles : int;
-      (** cycles run inside elided spans — one meeting barrier per
-          span instead of four barriers per cycle (DESIGN §16) *)
-}
-(** Lockstep-traffic counters of the sharded engine.  Zero for
-    sequential / naive / unsharded-sampled runs.  Like {!spin_ff},
-    engine diagnostics — NOT part of the bit-identity contract. *)
-
-val no_shard_ctrs : shard_ctrs
-(** All-zero counters, for harnesses that strip engine diagnostics
-    before comparing results across engines. *)
-
 type result = {
   cycles : int;  (** cycle at which every core had halted and drained *)
   timed_out : bool;  (** the run hit [max_cycles] before finishing *)
@@ -52,7 +38,6 @@ type result = {
   mem : int array;  (** final shared memory, for functional self-checks *)
   cache : Fscope_mem.Hierarchy.stats;
   spin : spin_ff;
-  shard : shard_ctrs;
   sample_windows : (int * int) list;
       (** a sampled run's measured detailed windows as inclusive
           [start, end] cycle ranges ([[]] otherwise); the sampled
@@ -81,18 +66,15 @@ val run :
     [checkpoint:(every, sink)] hands [sink] a whole-machine
     {!Checkpoint.t} at (roughly) every [every] cycles; [resume]
     continues a run from such a checkpoint — the resumed run is
-    bit-identical to the uninterrupted one.  Both compose with
-    [Config.shard_domains] (the sharded loop captures stop-the-world
-    at its publish window, at exactly the sequential loop's cycles)
-    and require an untraced run; both are rejected
-    ([Invalid_argument]) when [Config.sampling] is set.
+    bit-identical to the uninterrupted one.  Both require an untraced
+    run; both are rejected ([Invalid_argument]) when [Config.sampling]
+    is set.
 
     With [Config.sampling = Some _] the run uses the interval-sampled
     engine: exact event counters and final memory, ESTIMATED
     cycle-valued metrics (see DESIGN §15); [spin] is then all zero.
-    Untraced sampled runs shard their detailed windows across
-    [Config.shard_domains]; traced sampled runs stay sequential and
-    record [sample_windows] for the latency extraction. *)
+    [sample_windows] records the measured windows for the latency
+    extraction. *)
 
 val run_reference : ?obs:Fscope_obs.Trace.t -> Config.t -> Fscope_isa.Program.t -> result
 (** Same machine, driven by the retained naive per-cycle loop instead

@@ -14,17 +14,6 @@ type spin_stats = {
 
 let fresh_spin_stats () = { sleeps = 0; cycles_skipped = 0; wakes = 0 }
 
-(* Lockstep-traffic bookkeeping of the sharded loop (zeros elsewhere):
-   how many barrier generations the run crossed, and how many cycles
-   ran inside elided spans (one meeting barrier per span instead of
-   four per cycle). *)
-type shard_stats = {
-  mutable barriers : int;
-  mutable elided_cycles : int;
-}
-
-let fresh_shard_stats () = { barriers = 0; elided_cycles = 0 }
-
 type raw = {
   cycles : int;
   timed_out : bool;
@@ -32,7 +21,6 @@ type raw = {
   mem : int array;
   hierarchy : Hierarchy.t;
   spin : spin_stats;
-  shard : shard_stats;
   windows : (int * int) list;
       (* measured detailed windows of a sampled run as inclusive
          [start, end] cycle ranges, in run order; [] otherwise *)
@@ -81,9 +69,9 @@ let build ~obs (config : Config.t) program =
   in
   (cores, mem, hierarchy, on_store)
 
-(* The three-phase step protocol shared by both loops; see Core's
-   interface for why the order matters.  Returns whether any core
-   changed state beyond per-cycle stall accounting. *)
+(* The three-phase step protocol shared by the sampled and naive
+   loops; see Core's interface for why the order matters.  Returns
+   whether any core changed state beyond per-cycle stall accounting. *)
 let step_all cores ~cycle =
   let progress = ref false in
   Array.iter
@@ -95,14 +83,13 @@ let step_all cores ~cycle =
   Array.iter (fun core -> if Core.step_pipeline core ~cycle then progress := true) cores;
   !progress
 
-(* Overwrite a freshly built machine with checkpointed state (shared
-   by the sequential and sharded loops; always single-threaded — the
-   sharded loop restores before spawning its domains).  The wake array
-   comes back verbatim: frozen cores had their skipped spans
-   pre-charged when they froze, so re-deriving horizons here would
-   double-charge them.  [drained] is monotonic state recomputable from
-   the cores, so it is not serialized; [mark_drained] is called for
-   each core that comes back drained.  Returns the resume cycle. *)
+(* Overwrite a freshly built machine with checkpointed state.  The
+   wake array comes back verbatim: frozen cores had their skipped
+   spans pre-charged when they froze, so re-deriving horizons here
+   would double-charge them.  [drained] is monotonic state
+   recomputable from the cores, so it is not serialized;
+   [mark_drained] is called for each core that comes back drained.
+   Returns the resume cycle. *)
 let restore_checkpoint (ck : Checkpoint.t) (config : Config.t) program ~cores ~mem
     ~hierarchy ~wake ~mark_drained =
   let n = Array.length cores in
@@ -395,430 +382,6 @@ let run_sequential ?(obs = Obs.Trace.null) ?checkpoint ?resume (config : Config.
     mem;
     hierarchy;
     spin;
-    shard = fresh_shard_stats ();
-    windows = [];
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Domain-sharded loop                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* One machine's cores split cyclically across [d] OCaml domains (core
-   i belongs to shard [i mod d]), running the same three-phase step
-   protocol with a barrier at every phase boundary.  Within a phase,
-   each shard classifies its owned cores' steps as ORDERED — may touch
-   state shared between cores (memory writes, the cache directory and
-   its stats, wakes, traced events) — or FREE (provably commutes with
-   every other step of the phase).  Ordered steps execute at their
-   exact global ascending-core-order turn, serialised by the
-   {!Shard_sync} cursor token; free steps run immediately on their
-   owner.  Since every shared-state interaction happens at the same
-   global position as in the sequential loop, and free steps depend
-   only on their own core's state (plus phase-2 memory reads, which no
-   phase-2 step can change), the whole run — cycles, every CPI leaf,
-   final memory, traces — is bit-identical to {!run_sequential} and
-   therefore to {!run_naive}.
-
-   Classification per phase (see DESIGN §13 for the argument):
-   - phase 1: ordered iff traced, or the core was spin-sleeping at
-     cycle start (a cross-shard wake may touch its slots), or
-     {!Core.writes_pending} (a drain or CAS completion writes memory);
-   - phase 2: read-only — everything is free unless traced;
-   - phase 3: ordered iff traced, was sleeping, may arm a spin
-     certificate (a sleep transition registers shared watches), or —
-     under the hierarchy model, where even an L1 hit bumps shared
-     directory stats — {!Core.may_touch_mem}.
-
-   Cross-shard spin wakes fire only from inside ordered steps (the
-   disturbing store / invalidation is itself shared-state work), so
-   the sequential [wake_core] logic carries over verbatim: the waker
-   holds the global order token at the disturber's position, exactly
-   like the naive loop's program point.  Sleeping cores are always
-   ordered, so their owner's (skipping) turns synchronise with any
-   wake that lands on them.
-
-   Per-core slots ([wake], [progress], [drained], [sleeping]) are
-   written only by their owner or, for sleeping cores, by a
-   token-holding waker — never concurrently, with happens-before
-   through the cursor atomics and the phase barriers.  [phase] is
-   written redundantly by every domain at phase entry (same-value);
-   [phase_core] only by token holders; [cycle] and [finished] only by
-   shard 0 in the publish window between the phase-3 barrier and the
-   cycle barrier.  [drained_count] is an atomic because a core can
-   drain inside a free step. *)
-let run_sharded ?(obs = Obs.Trace.null) ?checkpoint ?resume ~domains (config : Config.t)
-    program =
-  let cores, mem, hierarchy, on_store = build ~obs config program in
-  let n = Array.length cores in
-  let d = max 1 (min domains n) in
-  let traced = Obs.Trace.on obs in
-  if traced && (Option.is_some checkpoint || Option.is_some resume) then
-    invalid_arg "Sim_engine: checkpointing is an untraced-run facility";
-  let max_cycles = config.Config.max_cycles in
-  let hier_mem = config.Config.mem_model = Config.Hierarchy in
-  let wake = Array.make n 0 in
-  let progress = Array.make n false in
-  let drained = Array.make n false in
-  let drained_count = Atomic.make 0 in
-  let cycle = ref 0 in
-  let finished = ref false in
-  (match (resume : Checkpoint.t option) with
-  | None -> ()
-  | Some ck ->
-    cycle :=
-      restore_checkpoint ck config program ~cores ~mem ~hierarchy ~wake
-        ~mark_drained:(fun i ->
-          drained.(i) <- true;
-          Atomic.incr drained_count));
-  let spin = fresh_spin_stats () in
-  let shard_s = fresh_shard_stats () in
-  let spin_on = config.Config.exec.Exec_config.spin_fastforward && not traced in
-  if spin_on then Array.iter (fun core -> Core.set_spin_ff core true) cores;
-  let sleeping : Core.spin_stable option array = Array.make n None in
-  (* Stable per-cycle snapshot of [sleeping], refreshed by each owner
-     in the publish window: classification must not read [sleeping]
-     itself, which a token-holding waker may flip mid-phase. *)
-  let was_sleeping = Array.make n false in
-  let ordered = Array.make n false in
-  let watches : (int, int list) Hashtbl.t = Hashtbl.create 16 in
-  let phase = ref 0 in
-  let phase_core = ref 0 in
-  let sync = Shard_sync.create ~domains:d ~cores:n in
-  let register_watches i (st : Core.spin_stable) =
-    List.iter
-      (fun addr ->
-        let cur = Option.value (Hashtbl.find_opt watches addr) ~default:[] in
-        Hashtbl.replace watches addr (List.sort_uniq compare (i :: cur)))
-      st.Core.footprint
-  in
-  let unregister_watches i (st : Core.spin_stable) =
-    List.iter
-      (fun addr ->
-        match Hashtbl.find_opt watches addr with
-        | None -> ()
-        | Some l ->
-          (match List.filter (fun j -> j <> i) l with
-          | [] -> Hashtbl.remove watches addr
-          | l' -> Hashtbl.replace watches addr l'))
-      st.Core.footprint
-  in
-  (* catch_up / step3 / wake_core are the sequential loop's logic
-     verbatim (see the comments there); in this loop they only ever run
-     under the order token or, for [step3], on a step classified free
-     — whose spin poll is then guaranteed [None]. *)
-  let catch_up i (st : Core.spin_stable) ~through =
-    let b = st.Core.armed_cycle in
-    let k = if through <= b then 0 else (through - b) / st.Core.period in
-    if k > 0 then begin
-      Core.spin_replay cores.(i) ~stable:st ~k;
-      (match config.Config.mem_model with
-      | Config.Hierarchy ->
-        let s = Hierarchy.stats hierarchy in
-        s.Hierarchy.l1_hits <- s.Hierarchy.l1_hits + (k * st.Core.loads_per_period)
-      | Config.Ideal -> ());
-      spin.cycles_skipped <- spin.cycles_skipped + (k * st.Core.period)
-    end;
-    for x = b + (k * st.Core.period) + 1 to through do
-      ignore (Core.step_complete_writes cores.(i) ~cycle:x);
-      ignore (Core.step_complete_reads cores.(i) ~cycle:x);
-      ignore (Core.step_pipeline cores.(i) ~cycle:x)
-    done;
-    Core.spin_cancel cores.(i)
-  in
-  let rec step3 i c =
-    if Core.step_pipeline cores.(i) ~cycle:c then progress.(i) <- true;
-    if progress.(i) then begin
-      wake.(i) <- c + 1;
-      if (not drained.(i)) && Core.drained cores.(i) then begin
-        drained.(i) <- true;
-        Atomic.incr drained_count;
-        wake.(i) <- max_cycles
-      end
-      else if spin_on then begin
-        match Core.spin_poll cores.(i) ~cycle:c with
-        | Some st ->
-          sleeping.(i) <- Some st;
-          register_watches i st;
-          wake.(i) <- max_cycles;
-          spin.sleeps <- spin.sleeps + 1
-        | None -> ()
-      end
-    end
-    else begin
-      let dd =
-        match Core.next_wake cores.(i) ~cycle:c with
-        | Some dd -> min dd max_cycles
-        | None -> max_cycles
-      in
-      Core.account_stall_span cores.(i) ~cycle:c ~cycles:(dd - c - 1);
-      wake.(i) <- dd
-    end
-  and wake_core i =
-    match sleeping.(i) with
-    | None -> ()
-    | Some st ->
-      sleeping.(i) <- None;
-      unregister_watches i st;
-      Core.spin_cancel cores.(i);
-      spin.wakes <- spin.wakes + 1;
-      let t = !cycle in
-      if t = st.Core.armed_cycle then wake.(i) <- t + 1
-      else begin
-        catch_up i st ~through:(t - 1);
-        if !phase = 3 then begin
-          if Core.step_complete_reads cores.(i) ~cycle:t then progress.(i) <- true;
-          if i < !phase_core then step3 i t else wake.(i) <- t
-        end
-        else begin
-          progress.(i) <- false;
-          wake.(i) <- t
-        end
-      end
-  in
-  if spin_on then begin
-    on_store :=
-      (fun addr ->
-        match Hashtbl.find_opt watches addr with
-        | None -> ()
-        | Some l -> List.iter wake_core l);
-    Hierarchy.set_remote_victim_hook hierarchy (fun ~core ->
-        match sleeping.(core) with Some _ -> wake_core core | None -> ())
-  end;
-  if traced then Obs.Trace.set_now obs 0;
-  (* Periodic capture, sharded.  The decision is made by shard 0 in
-     the publish window ([ckpt_at] names the cycle, written before the
-     cycle barrier so every shard reads the same value at the next
-     loop top); the capture itself is stop-the-world — every shard
-     parks at a barrier while shard 0 alone force-wakes sleepers,
-     catches them up and snapshots, exactly like the sequential
-     [capture].  Elision is suppressed on a capture cycle (and capped
-     at [next_ckpt - 1] otherwise) so the set of visited capture
-     cycles — and therefore the emitted checkpoints — match the
-     sequential loop's bit for bit. *)
-  let ckpt_digest = lazy (Checkpoint.digest config program) in
-  let next_ckpt =
-    ref (match checkpoint with Some (every, _) -> !cycle + every | None -> max_int)
-  in
-  let ckpt_at = ref (-1) in
-  let capture c sink every =
-    for i = 0 to n - 1 do
-      match sleeping.(i) with
-      | None -> ()
-      | Some st ->
-        sleeping.(i) <- None;
-        unregister_watches i st;
-        catch_up i st ~through:(c - 1);
-        wake.(i) <- c
-    done;
-    sink
-      {
-        Checkpoint.cycle = c;
-        digest = Lazy.force ckpt_digest;
-        wake = Array.copy wake;
-        cores = Array.map Core.snapshot cores;
-        mem = Array.copy mem;
-        hierarchy = Hierarchy.to_json hierarchy;
-      };
-    next_ckpt := c + every
-  in
-  (* Barrier elision (DESIGN §16).  In the publish window each shard
-     computes, over its own non-drained non-sleeping cores, the
-     minimum {!Core.quiet_until} horizon — the last cycle through
-     which stepping those cores provably performs no shared-state
-     step, no sleep transition and no drain.  Sleeping cores
-     contribute infinity: a quiet span is machine-wide write-free, so
-     nothing can touch their watches.  At the next loop top every
-     shard reads all slots (published before the cycle barrier) and
-     derives the same span end; if it covers at least one cycle, the
-     shards step their own cores through the whole span locally —
-     per-core, all three sub-steps per cycle in order, which is
-     observationally identical to the phase-major order because no
-     step touches shared state — and meet at ONE barrier instead of
-     four per cycle.  Capped at the capture horizon so checkpoint
-     cycles stay identical, and recomputed at every publish, so the
-     horizon is always fresh by construction. *)
-  let elide_on = config.Config.elide_barriers && not traced in
-  let quiet = Array.make d (-1) in
-  let compute_quiet me c =
-    let b = ref max_int in
-    let i = ref me in
-    while !i < n do
-      let core = !i in
-      if (not drained.(core)) && sleeping.(core) = None then begin
-        let q =
-          Core.quiet_until cores.(core)
-            ~from:(max wake.(core) (c + 1))
-            ~cap:(max_cycles - 1) ~hier:hier_mem
-        in
-        if q < !b then b := q
-      end;
-      i := !i + d
-    done;
-    quiet.(me) <- !b
-  in
-  if elide_on then
-    for s = 0 to d - 1 do
-      compute_quiet s (!cycle - 1)
-    done;
-  let shard_body me =
-    (* Phase round counter: +1 per phase, in lockstep across shards by
-       construction (every shard runs the same phase sequence). *)
-    let round = ref 0 in
-    let next_owned_ordered i =
-      let k = ref (i + d) in
-      while !k < n && not ordered.(!k) do k := !k + d done;
-      if !k < n then !k else n
-    in
-    let run_phase ~pred ~step =
-      let r = !round in
-      incr round;
-      let first = ref n in
-      let i = ref me in
-      while !i < n do
-        let o = pred !i in
-        ordered.(!i) <- o;
-        if o && !first = n then first := !i;
-        i := !i + d
-      done;
-      Shard_sync.set_cursor sync ~shard:me ~round:r !first;
-      let i = ref me in
-      while !i < n do
-        let core = !i in
-        if ordered.(core) then begin
-          Shard_sync.await_prefix sync ~shard:me ~round:r core;
-          phase_core := core;
-          step core;
-          Shard_sync.set_cursor sync ~shard:me ~round:r (next_owned_ordered core)
-        end
-        else step core;
-        i := !i + d
-      done
-    in
-    (* Publish window after the last stepped cycle [c]: no step runs,
-       so owners can snapshot their cores' sleep state and refresh
-       their elision horizon, and shard 0 can advance the shared clock
-       and schedule a capture.  Ends with the cycle barrier. *)
-    let publish c =
-      let i = ref me in
-      while !i < n do
-        was_sleeping.(!i) <- sleeping.(!i) <> None;
-        i := !i + d
-      done;
-      if elide_on then compute_quiet me c;
-      if me = 0 then begin
-        if Atomic.get drained_count = n then begin
-          cycle := c + 1;
-          finished := true
-        end
-        else begin
-          let target = Array.fold_left min max_int wake in
-          cycle := max target (c + 1)
-        end;
-        if (not !finished) && !cycle < max_cycles && !cycle >= !next_ckpt then
-          ckpt_at := !cycle;
-        if traced then Obs.Trace.set_now obs !cycle
-      end;
-      Shard_sync.barrier sync
-    in
-    while (not !finished) && !cycle < max_cycles do
-      let c = !cycle in
-      let do_ckpt = !ckpt_at = c in
-      if do_ckpt then begin
-        if me = 0 then
-          (match checkpoint with
-          | Some (every, sink) -> capture c sink every
-          | None -> assert false);
-        Shard_sync.barrier sync
-      end;
-      let span_end =
-        (* Same inputs on every shard ([quiet] and [next_ckpt] were
-           published before the last barrier), hence the same answer —
-           the branch below stays in lockstep.  A capture cycle never
-           elides: the force-wake just invalidated the horizons. *)
-        if elide_on && not do_ckpt then begin
-          let b = ref (min (max_cycles - 1) (!next_ckpt - 1)) in
-          for s = 0 to d - 1 do
-            if quiet.(s) < !b then b := quiet.(s)
-          done;
-          !b
-        end
-        else c - 1
-      in
-      if span_end >= c then begin
-        phase := 0;
-        if me = 0 then shard_s.elided_cycles <- shard_s.elided_cycles + (span_end - c + 1);
-        (* Every step in the span is provably FREE, so per-core
-           cycle-major order is observationally identical to the
-           phase-major order of the lockstep path. *)
-        let i = ref me in
-        while !i < n do
-          let core = !i in
-          for x = c to span_end do
-            if wake.(core) <= x then begin
-              progress.(core) <- Core.step_complete_writes cores.(core) ~cycle:x;
-              if Core.step_complete_reads cores.(core) ~cycle:x then
-                progress.(core) <- true;
-              step3 core x
-            end
-          done;
-          i := !i + d
-        done;
-        Shard_sync.barrier sync;
-        publish span_end
-      end
-      else begin
-        phase := 1;
-        run_phase
-          ~pred:(fun i ->
-            traced || was_sleeping.(i) || Core.writes_pending cores.(i) ~cycle:c)
-          ~step:(fun i ->
-            progress.(i) <- wake.(i) <= c && Core.step_complete_writes cores.(i) ~cycle:c);
-        Shard_sync.barrier sync;
-        phase := 2;
-        run_phase
-          ~pred:(fun _ -> traced)
-          ~step:(fun i ->
-            if wake.(i) <= c && Core.step_complete_reads cores.(i) ~cycle:c then
-              progress.(i) <- true);
-        Shard_sync.barrier sync;
-        phase := 3;
-        run_phase
-          ~pred:(fun i ->
-            traced || was_sleeping.(i)
-            || (spin_on && Core.spin_may_arm cores.(i))
-            || (hier_mem && Core.may_touch_mem cores.(i)))
-          ~step:(fun i -> if wake.(i) <= c then step3 i c);
-        Shard_sync.barrier sync;
-        phase := 0;
-        publish c
-      end
-    done
-  in
-  let guarded me () =
-    try shard_body me with e -> Shard_sync.poison sync e
-  in
-  let others = Array.init (d - 1) (fun k -> Domain.spawn (guarded (k + 1))) in
-  guarded 0 ();
-  Array.iter Domain.join others;
-  Shard_sync.check sync;
-  if Atomic.get drained_count < n then
-    for i = 0 to n - 1 do
-      match sleeping.(i) with
-      | None -> ()
-      | Some st ->
-        sleeping.(i) <- None;
-        unregister_watches i st;
-        catch_up i st ~through:(max_cycles - 1)
-    done;
-  shard_s.barriers <- Shard_sync.barriers sync;
-  {
-    cycles = !cycle;
-    timed_out = Atomic.get drained_count < n;
-    cores;
-    mem;
-    hierarchy;
-    spin;
-    shard = shard_s;
     windows = [];
   }
 
@@ -853,7 +416,6 @@ let run_sampled ?(obs = Obs.Trace.null) (config : Config.t) program
   let n = Array.length cores in
   let traced = Obs.Trace.on obs in
   let max_cycles = config.Config.max_cycles in
-  let hier_mem = config.Config.mem_model = Config.Hierarchy in
   let hstats = Hierarchy.stats hierarchy in
   let cycle = ref 0 in (* detailed cycles actually simulated *)
   let hstats_snapshot () =
@@ -892,115 +454,6 @@ let run_sampled ?(obs = Obs.Trace.null) (config : Config.t) program
     done;
     !worst
   in
-  (* Sharded detailed windows.  With [shard_domains > 1] (untraced —
-     tracing serialises every step anyway) a persistent worker team is
-     spawned once and parked at a command barrier; each detailed
-     window (warmup and measured alike — both run [detailed_cycles])
-     is dispatched to the team, which runs the window's cycles under
-     the same ORDERED/FREE three-phase protocol as {!run_sharded}.
-     Two differences from the sharded detailed loop: every core steps
-     every cycle (no event-horizon wake array — window entry and exit
-     must land exactly where the sequential [step_all] loop lands),
-     and phase 2 consumes no round (nothing to serialise: windows run
-     untraced and spin fast-forward is off, so reads are always FREE).
-     The functional legs, settle loops and estimate bookkeeping stay
-     on shard 0 while the workers wait at the command barrier.
-     Results are bit-identical to the sequential sampled run for any
-     shard count — the qcheck property in test_sampling.ml holds the
-     engine to that. *)
-  let domains = if traced then 1 else max 1 (min config.Config.shard_domains n) in
-  let shard_s = fresh_shard_stats () in
-  let sync = if domains > 1 then Some (Shard_sync.create ~domains ~cores:n) else None in
-  let team_quit = ref false in
-  let win_budget = ref 0 in
-  let win_stop = ref false in
-  let ordered = Array.make n false in
-  let window_shard sy me round =
-    let next_owned_ordered i =
-      let k = ref (i + domains) in
-      while !k < n && not ordered.(!k) do
-        k := !k + domains
-      done;
-      if !k < n then !k else n
-    in
-    let run_phase ~pred ~step =
-      let r = !round in
-      incr round;
-      let first = ref n in
-      let i = ref me in
-      while !i < n do
-        let o = pred !i in
-        ordered.(!i) <- o;
-        if o && !first = n then first := !i;
-        i := !i + domains
-      done;
-      Shard_sync.set_cursor sy ~shard:me ~round:r !first;
-      let i = ref me in
-      while !i < n do
-        let core = !i in
-        if ordered.(core) then begin
-          Shard_sync.await_prefix sy ~shard:me ~round:r core;
-          step core;
-          Shard_sync.set_cursor sy ~shard:me ~round:r (next_owned_ordered core)
-        end
-        else step core;
-        i := !i + domains
-      done
-    in
-    let continue = ref true in
-    while !continue do
-      let c = !cycle in
-      run_phase
-        ~pred:(fun i -> Core.writes_pending cores.(i) ~cycle:c)
-        ~step:(fun i -> ignore (Core.step_complete_writes cores.(i) ~cycle:c));
-      Shard_sync.barrier sy;
-      (* read-only phase: always FREE, no round consumed *)
-      let i = ref me in
-      while !i < n do
-        ignore (Core.step_complete_reads cores.(!i) ~cycle:c);
-        i := !i + domains
-      done;
-      Shard_sync.barrier sy;
-      run_phase
-        ~pred:(fun i -> hier_mem && Core.may_touch_mem cores.(i))
-        ~step:(fun i -> ignore (Core.step_pipeline cores.(i) ~cycle:c));
-      Shard_sync.barrier sy;
-      if me = 0 then begin
-        incr cycle;
-        decr win_budget;
-        if all_drained () then begin
-          finished := true;
-          win_stop := true
-        end
-        else if !win_budget <= 0 then win_stop := true
-      end;
-      Shard_sync.barrier sy;
-      if !win_stop then continue := false
-    done;
-    (* window-exit barrier: every shard has read [win_stop] by now, so
-       shard 0 may reset it for the next dispatch.  Without this a
-       racing reset (shard 0 can reach the next dispatch before a
-       worker re-reads the flag) strands that worker in a phantom
-       cycle, one barrier out of step with the team — a deadlock. *)
-    Shard_sync.barrier sy
-  in
-  let workers =
-    match sync with
-    | None -> [||]
-    | Some sy ->
-      Array.init (domains - 1) (fun k ->
-          Domain.spawn (fun () ->
-              try
-                let me = k + 1 in
-                let round = ref 0 in
-                let live = ref true in
-                while !live do
-                  Shard_sync.barrier sy;
-                  if !team_quit then live := false else window_shard sy me round
-                done
-              with e -> Shard_sync.poison sy e))
-  in
-  let round0 = ref 0 in
   let windows = ref [] in
   let detailed_cycles k ~measure =
     let before =
@@ -1008,21 +461,14 @@ let run_sampled ?(obs = Obs.Trace.null) (config : Config.t) program
       else [||]
     in
     let start = !cycle in
-    (match sync with
-    | Some sy when (not !finished) && k > 0 ->
-      win_budget := k;
-      win_stop := false;
-      Shard_sync.barrier sy;
-      window_shard sy 0 round0
-    | _ ->
-      let w = ref 0 in
-      while (not !finished) && !w < k do
-        if traced then Obs.Trace.set_now obs !cycle;
-        ignore (step_all cores ~cycle:!cycle);
-        incr cycle;
-        incr w;
-        if all_drained () then finished := true
-      done);
+    let w = ref 0 in
+    while (not !finished) && !w < k do
+      if traced then Obs.Trace.set_now obs !cycle;
+      ignore (step_all cores ~cycle:!cycle);
+      incr cycle;
+      incr w;
+      if all_drained () then finished := true
+    done;
     if measure && !cycle > start then windows := (start, !cycle - 1) :: !windows;
     if measure then
       Array.iteri
@@ -1032,9 +478,8 @@ let run_sampled ?(obs = Obs.Trace.null) (config : Config.t) program
   in
   (* First window: the cold start is real execution, measure it
      without a warmup bracket. *)
-  let sampled_main () =
-    detailed_cycles s.Config.detailed ~measure:true;
-    while not !finished do
+  detailed_cycles s.Config.detailed ~measure:true;
+  while not !finished do
     (* detailed -> functional: collapse to architectural state.  A CAS
        performs its read-modify-write at its completion point, before
        commit, so a core whose ROB holds a [Done] CAS must not flush:
@@ -1110,26 +555,7 @@ let run_sampled ?(obs = Obs.Trace.null) (config : Config.t) program
         detailed_cycles s.Config.detailed ~measure:true
       end
     end
-    done
-  in
-  (match sync with
-  | None -> sampled_main ()
-  | Some sy -> (
-    try sampled_main ()
-    with e ->
-      (* a failing shard-0 leg must not leave the workers parked at
-         the command barrier: poison, collect, re-raise *)
-      Shard_sync.poison sy e;
-      Array.iter Domain.join workers;
-      raise e));
-  (match sync with
-  | None -> ()
-  | Some sy ->
-    team_quit := true;
-    Shard_sync.barrier sy;
-    Array.iter Domain.join workers;
-    Shard_sync.check sy;
-    shard_s.barriers <- Shard_sync.barriers sy);
+  done;
   (* Scale measured micro-architecture to the whole run. *)
   let total_all = ref 0 and measured_all = ref 0 in
   for i = 0 to n - 1 do
@@ -1167,16 +593,11 @@ let run_sampled ?(obs = Obs.Trace.null) (config : Config.t) program
     mem;
     hierarchy;
     spin = fresh_spin_stats ();
-    shard = shard_s;
     windows = List.rev !windows;
   }
 
-(* Entry point: the sampled engine when the config asks for it
-   (detailed windows shard across [shard_domains]); otherwise shard
-   when the config asks for it and the program has cores to spread —
-   including checkpointing and resuming runs, which the sharded loop
-   now handles at its publish window — and take the sequential
-   event-horizon loop for single-core / single-domain runs. *)
+(* Entry point: the sampled engine when the config asks for it,
+   otherwise the sequential event-horizon loop. *)
 let run ?(obs = Obs.Trace.null) ?checkpoint ?resume (config : Config.t) program =
   (match checkpoint with
   | Some (every, _) when every <= 0 ->
@@ -1187,11 +608,7 @@ let run ?(obs = Obs.Trace.null) ?checkpoint ?resume (config : Config.t) program 
     if Option.is_some checkpoint || Option.is_some resume then
       invalid_arg "Sim_engine.run: sampling and checkpointing are incompatible";
     run_sampled ~obs config program s
-  | None ->
-    let d = config.Config.shard_domains in
-    if d > 1 && Program.thread_count program > 1 then
-      run_sharded ~obs ?checkpoint ?resume ~domains:d config program
-    else run_sequential ~obs ?checkpoint ?resume config program
+  | None -> run_sequential ~obs ?checkpoint ?resume config program
 
 (* The retained naive loop: one cycle at a time, no fast-forward.  The
    differential suite holds [run] to bit-identical results against
@@ -1213,6 +630,5 @@ let run_naive ?(obs = Obs.Trace.null) (config : Config.t) program =
     mem;
     hierarchy;
     spin = fresh_spin_stats ();
-    shard = fresh_shard_stats ();
     windows = [];
   }

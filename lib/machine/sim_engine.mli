@@ -29,17 +29,6 @@ type spin_stats = {
     for {!run_naive}, for traced runs, and with
     [Exec_config.spin_fastforward] off. *)
 
-type shard_stats = {
-  mutable barriers : int;
-  mutable elided_cycles : int;
-}
-(** Lockstep-traffic bookkeeping of the sharded loop: barrier
-    generations crossed, and cycles run inside elided spans (one
-    meeting barrier per span instead of four barriers per cycle — see
-    DESIGN.md §16).  Zeros for sequential, naive and unsharded
-    sampled runs.  Engine diagnostics, like {!spin_stats}: excluded
-    from bit-identity comparisons. *)
-
 type raw = {
   cycles : int;
   timed_out : bool;
@@ -47,7 +36,6 @@ type raw = {
   mem : int array;
   hierarchy : Fscope_mem.Hierarchy.t;
   spin : spin_stats;
-  shard : shard_stats;
   windows : (int * int) list;
       (** a sampled run's measured detailed windows, as inclusive
           [start, end] cycle ranges in run order ([[]] otherwise) —
@@ -62,29 +50,15 @@ val run :
   Config.t ->
   Fscope_isa.Program.t ->
   raw
-(** Event-horizon fast-forward loop.  With [Config.shard_domains > 1]
-    (and a multi-core program) the cores are partitioned cyclically
-    across that many OCaml domains, which run the same three-phase
-    protocol with barriers at phase boundaries and a global-order
-    token serialising exactly the steps that touch shared state —
-    results stay bit-identical to the sequential loop (and to
-    {!run_naive}) except for the spin fast-forward and shard
-    counters, which every consumer already treats as engine
-    diagnostics.  With [Config.elide_barriers] (the default), the
-    sharded loop additionally collapses spans of provably
-    non-interacting cycles — no memory writes, no ordered steps, no
-    sleep or drain transitions machine-wide, per
-    {!Fscope_cpu.Core.quiet_until} — to a single meeting barrier.
+(** Event-horizon fast-forward loop.  Results are bit-identical to
+    {!run_naive} except for the spin fast-forward counters, which
+    every consumer treats as engine diagnostics.
 
     [checkpoint:(every, sink)]: capture a whole-machine checkpoint at
     the top of the first visited cycle at or past each multiple of
     [every] and hand it to [sink].  [resume]: start from a checkpoint
     instead of cycle 0 (digest-validated; [Failure] on mismatch).
-    Both compose with sharding: the sharded loop restores before
-    spawning its domains and captures stop-the-world at the
-    top-of-cycle publish window, at exactly the cycles the sequential
-    loop would, so checkpoints and resumed runs are bit-identical
-    across engines.  Untraced runs only.
+    Untraced runs only.
 
     With [Config.sampling = Some _] the run is dispatched to
     {!run_sampled}; combining sampling with checkpointing is
@@ -100,15 +74,10 @@ val run_sampled :
     branch counts, final memory) remain exact.  Deterministic, but an
     estimate — the sampled harness bounds the per-metric error.
 
-    With [Config.shard_domains > 1] on an untraced run, the detailed
-    windows (warmup and measured alike) run under the sharded
-    three-phase protocol on a persistent worker team; functional legs
-    and settle loops stay sequential.  Bit-identical to the
-    sequential sampled run for any shard count.  Traced runs are
-    allowed since the windows record their cycle ranges
-    ([raw.windows]): they force sequential windows and advance the
-    trace clock only while stepping detailed cycles, which is what
-    the sampled latency extraction consumes.  Spin fast-forward stays
+    Traced runs are allowed since the windows record their cycle
+    ranges ([raw.windows]): they advance the trace clock only while
+    stepping detailed cycles, which is what the sampled latency
+    extraction consumes.  Spin fast-forward stays
     off inside windows.  The detailed->functional transition settles
     rather than flushing blindly: a core flushes only once
     {!Fscope_cpu.Core.flushable} holds (no completed CAS still in its

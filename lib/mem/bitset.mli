@@ -2,12 +2,12 @@
 
     The directory used to track sharers in a single [int] bitmask,
     which silently capped the machine at 62 cores; this module is the
-    same idea spread over an [int array] so domain-sharded machines can
-    go to arbitrary core counts.  All operations are O(1) except
-    {!retain_only}, {!is_empty} and {!iter}, which are O(capacity/63).
+    same idea spread over an [int array] so machines can go to
+    arbitrary core counts (the 64- and 256-core server points need
+    it).  All operations are O(1) except {!retain_only}, {!is_empty}
+    and {!iter}, which are O(capacity/63).
 
-    Not thread-safe; in the sharded engine every bitset is only touched
-    under the turn token (see DESIGN.md §13). *)
+    Not thread-safe; the engine drives one machine from one domain. *)
 
 type t
 

@@ -2,17 +2,15 @@ type t = {
   cycles : int;
   timed_out : bool;
   cores : int;
-  shard_domains : int;
   events : Event.timed list;
   dropped : int;
   metrics : Metrics.t;
 }
 
-let of_trace ~cycles ~timed_out ?(shard_domains = 1) trace =
+let of_trace ~cycles ~timed_out trace =
   {
     cycles;
     timed_out;
-    shard_domains;
     cores = Trace.cores trace;
     events = Trace.events trace;
     dropped = Trace.dropped trace;

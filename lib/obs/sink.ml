@@ -39,30 +39,16 @@ let jsonl (r : Report.t) =
 (* Chrome trace_event (JSON array format)                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Under --shard-domains N each simulated core belongs to domain
-   (core mod N); giving every shard its own chrome process lays the
-   trace out as one track per domain, which is how the sharded engine
-   actually interleaves the work.  N = 1 keeps the legacy single
-   "fscope" process byte-for-byte. *)
+(* One "fscope" process, one thread track per simulated core. *)
 let chrome (r : Report.t) =
-  let shards = max 1 r.shard_domains in
-  let pid_of core = if shards = 1 then 0 else core mod shards in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "[\n";
-  if shards = 1 then
-    Printf.bprintf buf
-      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{\"name\":\"fscope\"}}"
-  else
-    for k = 0 to shards - 1 do
-      Printf.bprintf buf
-        "%s{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"fscope shard %d\"}}"
-        (if k = 0 then "" else ",\n")
-        k k
-    done;
+  Printf.bprintf buf
+    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{\"name\":\"fscope\"}}";
   for core = 0 to r.cores - 1 do
     Printf.bprintf buf
-      ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"args\":{\"name\":\"core %d\"}}"
-      (pid_of core) core core
+      ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"args\":{\"name\":\"core %d\"}}"
+      core core
   done;
   List.iter
     (fun (te : Event.timed) ->
@@ -72,12 +58,12 @@ let chrome (r : Report.t) =
         | `End -> ("fence_stall", "E")
         | `Instant -> (Event.name te.event, "i")
       in
-      Printf.bprintf buf ",\n{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\"%s,\"ts\":%d,\"pid\":%d,\"tid\":%d,\"args\":{"
+      Printf.bprintf buf ",\n{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\"%s,\"ts\":%d,\"pid\":0,\"tid\":%d,\"args\":{"
         name
         (Event.category te.event)
         ph
         (if ph = "i" then ",\"s\":\"t\"" else "")
-        te.cycle (pid_of te.core) te.core;
+        te.cycle te.core;
       (match Event.args te.event with
       | [] -> ()
       | (k, v) :: rest ->

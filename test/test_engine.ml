@@ -35,67 +35,24 @@ let traced_run config program runner =
   | Some report -> (result, report)
   | None -> Alcotest.fail "traced run produced no report"
 
-(* The shard/ metric family counts lockstep traffic of the host
-   execution (barrier generations crossed, cycles run inside elided
-   spans) — a sequential reference run crosses no barriers, so these
-   are the one family allowed to differ between the engines under
-   comparison.  trend.ml classes them Gate_never for the same
-   reason.  Every other line must match byte for byte. *)
-let strip_shard_metrics s =
-  let keeps line =
-    let has needle =
-      let nl = String.length needle and ll = String.length line in
-      let rec go i = i + nl <= ll && (String.sub line i nl = needle || go (i + 1)) in
-      go 0
-    in
-    not (has "shard/barriers_total" || has "shard/elided_cycles")
-  in
-  String.concat "\n" (List.filter keeps (String.split_on_char '\n' s))
-
-let check_traced_matches_reference ~label config program =
+let test_traced_identical () =
+  let w = E.Exp_run.workload ~params:{ Registry.default_params with rounds = Some 4 } "wsq" in
+  let program = w.Fscope_workloads.Workload.program in
+  let config = E.Exp_run.s_config Config.default in
   let engine_r, engine_rep =
     traced_run config program (fun ~obs c p -> Machine.run ~obs c p)
   in
   let ref_r, ref_rep =
     traced_run config program (fun ~obs c p -> Machine.run_reference ~obs c p)
   in
-  Alcotest.(check int) (label ^ ": cycles") ref_r.Machine.cycles engine_r.Machine.cycles;
-  Alcotest.(check int)
-    (label ^ ": events")
+  Alcotest.(check int) "cycles" ref_r.Machine.cycles engine_r.Machine.cycles;
+  Alcotest.(check int) "events"
     (Obs.Report.events_count ref_rep)
     (Obs.Report.events_count engine_rep);
-  Alcotest.(check string)
-    (label ^ ": event stream (jsonl)")
-    (strip_shard_metrics (Obs.Sink.jsonl ref_rep))
-    (strip_shard_metrics (Obs.Sink.jsonl engine_rep));
-  Alcotest.(check string)
-    (label ^ ": metrics summary")
-    (strip_shard_metrics (Obs.Sink.summary ref_rep))
-    (strip_shard_metrics (Obs.Sink.summary engine_rep))
-
-let test_traced_identical () =
-  let w = E.Exp_run.workload ~params:{ Registry.default_params with rounds = Some 4 } "wsq" in
-  let program = w.Fscope_workloads.Workload.program in
-  let config = E.Exp_run.s_config Config.default in
-  check_traced_matches_reference ~label:"seq" config program
-
-(* The sharded engine must be invisible to the observability layer
-   too: with the machine's cores split across domains, a traced run
-   still produces the same event stream and metrics as the traced
-   sequential reference — wakes, drains and fence stalls land on the
-   same cycles in the same order. *)
-let test_sharded_traced_identical () =
-  let w = E.Exp_run.workload ~params:{ Registry.default_params with rounds = Some 4 } "wsq" in
-  let program = w.Fscope_workloads.Workload.program in
-  List.iter
-    (fun shards ->
-      let config =
-        Config.with_shard_domains shards (E.Exp_run.s_config Config.default)
-      in
-      check_traced_matches_reference
-        ~label:(Printf.sprintf "%d shards" shards)
-        config program)
-    [ 2; 4 ]
+  Alcotest.(check string) "event stream (jsonl)" (Obs.Sink.jsonl ref_rep)
+    (Obs.Sink.jsonl engine_rep);
+  Alcotest.(check string) "metrics summary" (Obs.Sink.summary ref_rep)
+    (Obs.Sink.summary engine_rep)
 
 (* Spin fast-forward regression: a two-core flag handshake.  Core 0
    counts down a few thousand iterations (a counting loop whose ARF
@@ -135,7 +92,6 @@ let test_spin_fastforward () =
     {
       res with
       Machine.spin = { Machine.sleeps = 0; cycles_skipped = 0; wakes = 0 };
-      shard = Machine.no_shard_ctrs;
     }
   in
   let config = Config.default in
@@ -159,8 +115,6 @@ let tests =
       (test_jobs_identical "fig13" render_fig13);
     Alcotest.test_case "traced engine run matches traced reference" `Quick
       test_traced_identical;
-    Alcotest.test_case "traced sharded run matches traced reference" `Quick
-      test_sharded_traced_identical;
     Alcotest.test_case "spin fast-forward sleeps and stays bit-identical" `Quick
       test_spin_fastforward;
   ]

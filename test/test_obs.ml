@@ -260,7 +260,7 @@ let test_registry_lookup () =
     (fun () -> ignore (Fscope_experiments.Exp_run.workload "nope"))
 
 (* ------------------------------------------------------------------ *)
-(* Drop warning and shard lanes                                        *)
+(* Drop warning                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let contains ~needle hay =
@@ -283,30 +283,6 @@ let test_summary_drop_warning () =
   let _, clean = traced_run w in
   Alcotest.(check bool) "clean run has no warning" false
     (contains ~needle:"warning:" (Obs.Sink.summary clean))
-
-let test_chrome_shard_lanes () =
-  let w = tiny_dekker () in
-  let run config =
-    let cores = Fscope_isa.Program.thread_count w.W.Workload.program in
-    let trace = Obs.Trace.create ~ring_capacity:(1 lsl 20) ~cores () in
-    let result = Machine.run ~obs:trace config w.W.Workload.program in
-    Option.get result.Machine.obs
-  in
-  let plain = Obs.Sink.chrome (run Config.default) in
-  Alcotest.(check bool) "one process at --shard-domains 1" true
-    (contains ~needle:"{\"name\":\"fscope\"}" plain
-    && not (contains ~needle:"shard" plain));
-  let sharded = Obs.Sink.chrome (run (Config.with_shard_domains 2 Config.default)) in
-  Alcotest.(check bool) "one process track per shard" true
-    (contains ~needle:"{\"name\":\"fscope shard 0\"}" sharded
-    && contains ~needle:"{\"name\":\"fscope shard 1\"}" sharded);
-  (* dekker: core 0 -> shard 0, core 1 -> shard 1 *)
-  Alcotest.(check bool) "cores land on their shard's pid" true
-    (contains ~needle:"\"pid\":1,\"tid\":1,\"args\":{\"name\":\"core 1\"}" sharded);
-  (* metadata aside, the two renderings describe the same events *)
-  Alcotest.(check int) "same event count either way"
-    (List.length (String.split_on_char '\n' plain))
-    (List.length (String.split_on_char '\n' sharded) - 1)
 
 (* Gauge samplers: a traced server run's drain stream must replay into
    non-empty occupancy histograms, deterministically. *)
@@ -356,7 +332,6 @@ let tests =
     Alcotest.test_case "chrome trace shape" `Quick test_chrome_shape;
     Alcotest.test_case "summary quotes legacy total" `Quick test_summary_totals;
     Alcotest.test_case "summary drop warning" `Quick test_summary_drop_warning;
-    Alcotest.test_case "chrome shard lanes" `Quick test_chrome_shard_lanes;
     Alcotest.test_case "gauge fold deterministic" `Quick test_gauge_fold_deterministic;
     Alcotest.test_case "registry round-trip" `Slow test_registry_round_trip;
     Alcotest.test_case "registry lookup" `Quick test_registry_lookup;

@@ -12,7 +12,6 @@
 
 module Config = Fscope_machine.Config
 module Machine = Fscope_machine.Machine
-module Checkpoint = Fscope_machine.Checkpoint
 module Workload = Fscope_workloads.Workload
 module Mpmc = Fscope_workloads.Mpmc
 
@@ -86,86 +85,6 @@ let test_bad_schedule_rejected () =
            (Some { Config.warmup = 0; detailed = 0; ff_instrs = 1 })
            Config.default))
 
-(* ------------------------------------------------------------------ *)
-(* Sharded sampled identity: splitting the detailed windows across
-   OCaml domains must be invisible.  The whole result record — cycle
-   estimate, per-core stats, CPI leaves, final memory, cache stats and
-   the recorded sample windows — must be bit-identical to the
-   unsharded sampled run, across shard counts, barrier elision on/off
-   and both memory models.  Only the lockstep diagnostics (shard
-   barrier/elision counters) may differ. *)
-
-let strip_shard (r : Machine.result) =
-  { r with Machine.shard = Machine.no_shard_ctrs }
-
-let sampled_shard_gen =
-  let open QCheck2.Gen in
-  let* threads = oneofl [ 4; 8 ] in
-  let* per = oneofl [ 16; 32 ] in
-  let* shards = oneofl [ 1; 2; 4 ] in
-  let* elide = bool in
-  let* ideal = bool in
-  return (threads, per, shards, elide, ideal)
-
-let print_sampled_shard_case (threads, per, shards, elide, ideal) =
-  Printf.sprintf "threads=%d per=%d shards=%d elide=%b mem=%s" threads per shards
-    elide
-    (if ideal then "ideal" else "hierarchy")
-
-let prop_sampled_shard_invariance =
-  QCheck2.Test.make ~count:16 ~name:"sharded sampled == sequential sampled"
-    ~print:print_sampled_shard_case sampled_shard_gen
-    (fun (threads, per, shards, elide, ideal) ->
-      let w = Mpmc.make ~threads ~per_producer:per ~scope:`Class () in
-      let base =
-        Config.with_mem_model
-          (if ideal then Config.Ideal else Config.Hierarchy)
-          (sampled Config.default)
-      in
-      let seq = Machine.run base w.Workload.program in
-      let sharded =
-        Machine.run
-          (Config.with_elide_barriers elide (Config.with_shard_domains shards base))
-          w.Workload.program
-      in
-      if strip_shard seq = strip_shard sharded then true
-      else if seq.Machine.cycles <> sharded.Machine.cycles then
-        QCheck2.Test.fail_reportf "cycle estimate: sequential %d, sharded %d"
-          seq.Machine.cycles sharded.Machine.cycles
-      else if seq.Machine.sample_windows <> sharded.Machine.sample_windows then
-        QCheck2.Test.fail_report "measured windows differ"
-      else if seq.Machine.mem <> sharded.Machine.mem then
-        QCheck2.Test.fail_report "final memory differs"
-      else QCheck2.Test.fail_report "stats/CPI differ")
-
-(* A checkpoint captured inside the sharded loop's publish window must
-   resume under the sequential loop as if nothing happened: same final
-   result as an uninterrupted sequential run.  (Sampling composes with
-   sharding but not with checkpointing, so this regression runs the
-   detailed engine.) *)
-let test_sharded_checkpoint_sequential_resume () =
-  let w = mpmc () in
-  let strip (r : Machine.result) =
-    {
-      (strip_shard r) with
-      Machine.spin = { Machine.sleeps = 0; cycles_skipped = 0; wakes = 0 };
-    }
-  in
-  let sharded_cfg = Config.with_shard_domains 4 Config.default in
-  let first = ref None in
-  let sink ck = if Option.is_none !first then first := Some ck in
-  ignore (Machine.run ~checkpoint:(200, sink) sharded_cfg w.Workload.program);
-  match !first with
-  | None -> Alcotest.fail "run finished before the first capture point"
-  | Some ck ->
-    let sequential_cfg = Config.with_shard_domains 1 Config.default in
-    Checkpoint.validate ck sequential_cfg w.Workload.program;
-    let resumed = Machine.run ~resume:ck sequential_cfg w.Workload.program in
-    let baseline = Machine.run sequential_cfg w.Workload.program in
-    Alcotest.(check bool)
-      "sharded-captured checkpoint resumes bit-identically under sequential" true
-      (strip resumed = strip baseline)
-
 let tests =
   [
     Alcotest.test_case "sampled run validates, spin counters zero" `Quick
@@ -177,7 +96,4 @@ let tests =
     Alcotest.test_case "sampling + checkpointing rejected" `Quick
       test_checkpoint_sampling_rejected;
     Alcotest.test_case "invalid schedule rejected" `Quick test_bad_schedule_rejected;
-    QCheck_alcotest.to_alcotest prop_sampled_shard_invariance;
-    Alcotest.test_case "sharded checkpoint resumes under sequential loop" `Quick
-      test_sharded_checkpoint_sequential_resume;
   ]

@@ -90,7 +90,6 @@ let strip_spin (r : Machine.result) =
   {
     r with
     Machine.spin = { Machine.sleeps = 0; cycles_skipped = 0; wakes = 0 };
-    shard = Machine.no_shard_ctrs;
   }
 
 let small_params =

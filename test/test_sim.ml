@@ -361,6 +361,16 @@ let test_in_window_speculation_helps_traditional () =
     true
     (t_plus.Machine.cycles <= t.Machine.cycles)
 
+(* [Config.v ?shard_domains] survives only so perfbench/bench.ml,
+   which passes [~shard_domains:1], still compiles: 1 is accepted (and
+   changes nothing), anything else is rejected. *)
+let test_shard_domains_shim () =
+  Alcotest.(check bool) "~shard_domains:1 accepted" true
+    (Config.v ~shard_domains:1 () = Config.default);
+  Alcotest.check_raises "~shard_domains:2 rejected"
+    (Invalid_argument "Config.v: shard_domains must be 1") (fun () ->
+      ignore (Config.v ~shard_domains:2 ()))
+
 let tests =
   [
     Alcotest.test_case "single thread arithmetic" `Quick test_single_thread_arith;
@@ -381,4 +391,5 @@ let tests =
     Alcotest.test_case "fence stall attribution" `Quick test_fence_stall_attribution;
     Alcotest.test_case "in-window speculation helps" `Quick
       test_in_window_speculation_helps_traditional;
+    Alcotest.test_case "Config.v shard_domains shim" `Quick test_shard_domains_shim;
   ]
