@@ -162,20 +162,33 @@ let spin_poll = Core_spin.poll
 let spin_cancel = Core_spin.cancel
 let spin_replay (t : t) ~stable ~k = Core_spin.replay t ~stable ~k
 
+(* The earliest in-flight completion strictly after [cycle] among ROB
+   seqs [s, stop), or [m]. *)
+let rec next_rob_done rob ~cycle s stop m =
+  if s >= stop then m
+  else
+    let e = Rob.get rob s in
+    let m =
+      match e.state with
+      | Rob.Executing when e.done_at > cycle && e.done_at < m -> e.done_at
+      | Rob.Executing | Rob.Waiting | Rob.Done -> m
+    in
+    next_rob_done rob ~cycle (s + 1) stop m
+
 let next_wake (t : t) ~cycle =
-  let m = ref max_int in
-  let consider d = if d > cycle && d < !m then m := d in
-  if not t.halted then begin
-    Rob.iter t.rob (fun e ->
-        match e.state with
-        | Rob.Executing d -> consider d
-        | Rob.Waiting | Rob.Done -> ());
-    if (not t.fetch_stopped) && t.fetch_resume > cycle then consider t.fetch_resume
-  end;
+  let m =
+    if t.halted then max_int
+    else
+      let m =
+        next_rob_done t.rob ~cycle (Rob.head_seq t.rob) (Rob.next_seq t.rob) max_int
+      in
+      if (not t.fetch_stopped) && t.fetch_resume > cycle then Int.min m t.fetch_resume
+      else m
+  in
   (* Even a halted core's store buffer keeps draining — those
      completions write memory and gate [drained]. *)
-  Store_buffer.iter t.sb (fun en -> consider en.done_at);
-  if !m = max_int then None else Some !m
+  let m = Int.min m (Store_buffer.next_done_after t.sb ~cycle) in
+  if m = max_int then None else Some m
 
 (* ------------------------------------------------------------------ *)
 (* Whole-core checkpointing and sampled-mode support (Core_ckpt,
@@ -184,6 +197,7 @@ let next_wake (t : t) ~cycle =
 let snapshot = Core_ckpt.snapshot
 let restore = Core_ckpt.restore
 let traced (t : t) = t.Core_state.obs <> None
+let rob (t : t) = t.Core_state.rob
 let flushable = Core_ckpt.flushable
 let park = Core_ckpt.park
 let unpark = Core_ckpt.unpark

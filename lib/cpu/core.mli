@@ -210,6 +210,10 @@ val traced : t -> bool
 (** Was the core created with a live trace?  Checkpointing and sampled
     mode are untraced-run facilities. *)
 
+val rob : t -> Rob.t
+(** The core's reorder buffer, for inspection (tests, debugging).
+    Mutating it from outside voids every guarantee of this module. *)
+
 (** {2 Interval sampling}
 
     The sampled engine alternates detailed windows (ordinary cycle

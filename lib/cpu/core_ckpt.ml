@@ -29,16 +29,18 @@ open Core_state
 let producer_to_int = function Rob.Arch -> -1 | Rob.Rob s -> s
 let producer_of_int s = if s < 0 then Rob.Arch else Rob.Rob s
 
-let state_to_json = function
+(* [done_at] travels with [Executing] only, as [1, done_at]. *)
+let state_to_json (e : Rob.entry) =
+  match e.state with
   | Rob.Waiting -> Json.Arr [ Json.Int 0 ]
-  | Rob.Executing d -> Json.Arr [ Json.Int 1; Json.Int d ]
+  | Rob.Executing -> Json.Arr [ Json.Int 1; Json.Int e.done_at ]
   | Rob.Done -> Json.Arr [ Json.Int 2 ]
 
-let state_of_json j =
+let state_of_json rob (e : Rob.entry) j =
   match Json.list_exn j with
-  | [ Json.Int 0 ] -> Rob.Waiting
-  | [ Json.Int 1; d ] -> Rob.Executing (Json.int_exn d)
-  | [ Json.Int 2 ] -> Rob.Done
+  | [ Json.Int 0 ] -> e.state <- Rob.Waiting
+  | [ Json.Int 1; d ] -> Rob.set_exec rob e ~done_at:(Json.int_exn d)
+  | [ Json.Int 2 ] -> e.state <- Rob.Done
   | _ -> failwith "checkpoint: malformed exec state"
 
 let fence_wait_to_json = function
@@ -71,7 +73,7 @@ let entry_to_json (e : Rob.entry) =
       ("seq", Json.Int e.seq);
       ("pc", Json.Int e.pc);
       ("srcs", Json.of_int_list (List.map (fun (s : Rob.src) -> producer_to_int s.producer) (Array.to_list e.srcs)));
-      ("state", state_to_json e.state);
+      ("state", state_to_json e);
       ("result", Json.Int e.result);
       ("addr", Json.Int e.addr);
       ("data", Json.Int e.data);
@@ -89,25 +91,22 @@ let entry_to_json (e : Rob.entry) =
     ]
 
 (* Rebuild an entry exactly as dispatch would have: the instruction is
-   re-read from the code image and the positional source list from
-   [Core_frontend.explicit_srcs] — duplicates and order preserved —
-   with the serialized producers zipped back in. *)
+   re-read from the code image and the positional source array from
+   [Core_frontend.sources] — duplicates and order preserved — with the
+   serialized producers put back in. *)
 let entry_of_json (t : t) j =
   let pc = Json.int_exn (Json.get "pc" j) in
   if pc < 0 || pc >= Array.length t.code then failwith "checkpoint: entry pc out of range";
   let instr = t.code.(pc) in
   let producers = Json.int_list_exn (Json.get "srcs" j) in
-  let regs = Core_frontend.explicit_srcs instr in
-  if List.length producers <> List.length regs then
+  let srcs = Core_frontend.sources t.rename instr in
+  if List.length producers <> Array.length srcs then
     failwith "checkpoint: source arity mismatch (program changed?)";
-  let srcs =
-    Array.of_list
-      (List.map2
-         (fun r p -> { Rob.producer = producer_of_int p; reg = r })
-         regs producers)
-  in
+  List.iteri
+    (fun i p -> srcs.(i) <- { (srcs.(i)) with Rob.producer = producer_of_int p })
+    producers;
   let e = Rob.make_entry ~seq:(Json.int_exn (Json.get "seq" j)) ~pc ~instr ~srcs in
-  e.state <- state_of_json (Json.get "state" j);
+  state_of_json t.rob e (Json.get "state" j);
   e.result <- Json.int_exn (Json.get "result" j);
   e.addr <- Json.int_exn (Json.get "addr" j);
   e.data <- Json.int_exn (Json.get "data" j);
@@ -245,7 +244,7 @@ let flushable (t : t) =
   Rob.iter t.rob (fun e ->
       match (e.Rob.instr, e.Rob.state) with
       | Instr.Cas _, Rob.Done -> ok := false
-      | _, (Rob.Waiting | Rob.Executing _ | Rob.Done) -> ());
+      | _, (Rob.Waiting | Rob.Executing | Rob.Done) -> ());
   !ok
 
 (* Fetch suppression for a flushed core while the other cores settle

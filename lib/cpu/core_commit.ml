@@ -83,6 +83,21 @@ let commit_effects t (e : Rob.entry) =
   | Instr.Halt ->
     ()
 
+(* Does an older entry in seqs [s, stop), inside the fence's scope
+   ([global], or scope bits meeting [mask]), still hold the fence: an
+   incomplete load/CAS ([load]) or a store not yet in the store
+   buffer? *)
+let rec older_covered rob ~global ~mask ~load s stop =
+  s < stop
+  && (let o = Rob.get rob s in
+      ((global || not (Fsb.is_empty (Fsb.inter o.Rob.scope_mask mask)))
+      &&
+      match o.instr with
+      | Instr.Load _ | Instr.Cas _ -> load && o.state <> Rob.Done
+      | Instr.Store _ -> not load
+      | _ -> false)
+      || older_covered rob ~global ~mask ~load (s + 1) stop)
+
 (* Why is the head fence stalled?  Charged once per stalled cycle to
    the first matching cause (ROB loads, then ROB stores, then SB
    drain), split by whether the fence waits on an S-Fence scope mask
@@ -91,28 +106,19 @@ let commit_effects t (e : Rob.entry) =
    the core makes no progress, so every cycle of the span lands in the
    same leaf. *)
 let charge_fence_stall t (e : Rob.entry) ~times =
-  let covered o =
-    match e.fence_wait with
-    | Some `Global | None -> true
-    | Some (`Mask m) -> not (Fsb.is_empty (Fsb.inter o.Rob.scope_mask m))
+  let mask =
+    match e.fence_wait with Some (`Mask m) -> m | Some `Global | None -> Fsb.empty
   in
-  let rob_load = ref false and rob_store = ref false in
-  Rob.iter t.rob (fun o ->
-      if o.seq < e.seq && covered o then
-        match o.instr with
-        | Instr.Load _ | Instr.Cas _ -> if o.state <> Rob.Done then rob_load := true
-        | Instr.Store _ -> rob_store := true
-        | _ -> ());
+  let global =
+    match e.fence_wait with Some (`Mask _) -> false | Some `Global | None -> true
+  in
+  let head = Rob.head_seq t.rob in
   let cause =
-    if !rob_load then Cpi.Rob_load
-    else if !rob_store then Cpi.Rob_store
+    if older_covered t.rob ~global ~mask ~load:true head e.seq then Cpi.Rob_load
+    else if older_covered t.rob ~global ~mask ~load:false head e.seq then Cpi.Rob_store
     else Cpi.Sb_drain
   in
-  let scope =
-    match e.fence_wait with
-    | Some (`Mask _) -> Cpi.Scoped
-    | Some `Global | None -> Cpi.Unscoped
-  in
+  let scope = if global then Cpi.Unscoped else Cpi.Scoped in
   Cpi.charge_n t.cpi (Cpi.Fence_wait (cause, scope)) ~times
 
 (* Per-static-fence-site and per-scope attribution, on traced runs
@@ -151,9 +157,9 @@ let commit t ~cycle =
   let budget = ref t.cfg.commit_width in
   let blocked = ref false in
   while (not !blocked) && !budget > 0 && not t.halted do
-    match Rob.head t.rob with
-    | None -> blocked := true
-    | Some e -> (
+    if Rob.is_empty t.rob then blocked := true
+    else begin
+      let e = Rob.get t.rob (Rob.head_seq t.rob) in
       match e.instr with
       | Instr.Halt ->
         ignore (Rob.pop_head t.rob);
@@ -178,15 +184,13 @@ let commit t ~cycle =
           (* Same-address stores must become visible in program order
              (per-location coherence), so a later store may not
              overtake an in-flight one to the same address. *)
-          let floor = ref 0 in
-          Store_buffer.iter t.sb (fun en ->
-              if en.addr = e.addr then floor := max !floor en.done_at);
+          let floor = Store_buffer.last_done_at t.sb ~addr:e.addr in
           Store_buffer.push t.sb
             {
               Store_buffer.addr = e.addr;
               value = e.data;
               mask = e.scope_mask;
-              done_at = max completes (!floor + 1);
+              done_at = Int.max completes (floor + 1);
             };
           ignore (Rob.pop_head t.rob);
           commit_effects t e;
@@ -241,7 +245,8 @@ let commit t ~cycle =
           progress := true;
           decr budget
         end
-        else blocked := true)
+        else blocked := true
+    end
   done;
   !progress
 
@@ -263,14 +268,13 @@ let classify_waiting_head (e : Rob.entry) =
   | _ -> Cpi.Exec_dep
 
 let classify_blocked t ~cycle =
-  match Rob.head t.rob with
-  | None ->
+  if Rob.is_empty t.rob then
     (* An empty ROB while the front end waits out a mispredict penalty
        is the flush shadow; empty with nothing pending is a starved
        front end (e.g. the tail of the program). *)
     if (not t.fetch_stopped) && t.fetch_resume > cycle then Cpi.Branch_flush
     else Cpi.Frontend_empty
-  | Some e -> classify_waiting_head e
+  else classify_waiting_head (Rob.get t.rob (Rob.head_seq t.rob))
 
 (* Replay the per-cycle accounting of the [n] pure-stall cycles
    following [cycle] in O(1).

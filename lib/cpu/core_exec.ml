@@ -10,17 +10,27 @@ module Instr = Fscope_isa.Instr
 module Scope_unit = Fscope_core.Scope_unit
 open Core_state
 
+(* The completion phases and [finalize] skip their ROB walk while
+   [cycle < Rob.due_lo]: no entry can be due before then (see the
+   bound's contract in Rob). *)
+
+let rec apply_drains t = function
+  | [] -> ()
+  | (en : Store_buffer.entry) :: rest ->
+    Mem_port.store t.port ~addr:en.addr ~value:en.value;
+    Scope_unit.on_bits_cleared t.scope en.mask;
+    apply_drains t rest
+
 let step_complete_writes t ~cycle =
-  let progress = ref false in
-  List.iter
-    (fun (en : Store_buffer.entry) ->
-      progress := true;
-      Mem_port.store t.port ~addr:en.addr ~value:en.value;
-      Scope_unit.on_bits_cleared t.scope en.mask)
-    (Store_buffer.take_completed t.sb ~cycle);
-  Rob.iter t.rob (fun e ->
+  let drained = Store_buffer.take_completed t.sb ~cycle in
+  apply_drains t drained;
+  let progress = ref (match drained with [] -> false | _ :: _ -> true) in
+  let rob = t.rob in
+  if cycle >= Rob.due_lo rob then
+    for s = Rob.head_seq rob to Rob.next_seq rob - 1 do
+      let e = Rob.get rob s in
       match (e.instr, e.state) with
-      | Instr.Cas _, Rob.Executing d when d <= cycle ->
+      | Instr.Cas _, Rob.Executing when e.done_at <= cycle ->
         (* The RMW performs atomically at its completion point. *)
         progress := true;
         let old = read_mem t e.addr in
@@ -35,14 +45,18 @@ let step_complete_writes t ~cycle =
           Fscope_obs.Trace.emit o.trace ~core:t.id
             (Fscope_obs.Event.Cas_result { addr = e.addr; success })
         | None -> ())
-      | _, (Rob.Waiting | Rob.Executing _ | Rob.Done) -> ());
+      | _, (Rob.Waiting | Rob.Executing | Rob.Done) -> ()
+    done;
   !progress
 
 let step_complete_reads t ~cycle =
   let progress = ref false in
-  Rob.iter t.rob (fun e ->
+  let rob = t.rob in
+  if cycle >= Rob.due_lo rob then
+    for s = Rob.head_seq rob to Rob.next_seq rob - 1 do
+      let e = Rob.get rob s in
       match (e.instr, e.state) with
-      | Instr.Load _, Rob.Executing d when d <= cycle ->
+      | Instr.Load _, Rob.Executing when e.done_at <= cycle ->
         (* data2 = 1 marks a forwarded load whose value was captured at
            issue; otherwise the value is sampled from memory now, at
            the access's completion point. *)
@@ -50,7 +64,8 @@ let step_complete_reads t ~cycle =
         if e.data2 = 0 then e.result <- read_mem t e.addr;
         e.state <- Rob.Done;
         Scope_unit.on_bits_cleared t.scope e.scope_mask
-      | _, (Rob.Waiting | Rob.Executing _ | Rob.Done) -> ());
+      | _, (Rob.Waiting | Rob.Executing | Rob.Done) -> ()
+    done;
   !progress
 
 (* ------------------------------------------------------------------ *)
@@ -90,26 +105,36 @@ let resolve_branch t (e : Rob.entry) ~cycle =
   else squash t e ~actual_target:target ~cycle
 
 (* Convert due executions to Done and resolve branches, oldest first
-   (a misprediction squashes the younger ones before they resolve). *)
+   (a misprediction squashes the younger ones before they resolve).
+   The same walk recomputes [Rob.due_lo] exactly: the minimum
+   [done_at] over the entries still executing afterwards, including
+   the loads and CAS the completion phases own. *)
 let finalize t ~cycle =
-  let progress = ref false in
-  let rec go seq =
-    if Rob.contains t.rob seq then begin
-      let e = Rob.get t.rob seq in
-      (match (e.instr, e.state) with
-      | (Instr.Load _ | Instr.Cas _), _ -> () (* completion phases own these *)
-      | Instr.Branch _, Rob.Executing d when d <= cycle ->
-        progress := true;
-        e.state <- Rob.Done;
-        resolve_branch t e ~cycle
-      | _, Rob.Executing d when d <= cycle ->
-        progress := true;
-        e.state <- Rob.Done
-      | _, (Rob.Waiting | Rob.Executing _ | Rob.Done) -> ());
-      go (seq + 1)
-    end
-  in
-  (match Rob.head t.rob with
-  | Some e -> go e.seq
-  | None -> ());
-  !progress
+  let rob = t.rob in
+  if cycle < Rob.due_lo rob then false
+  else begin
+    let progress = ref false in
+    let lo = ref max_int in
+    let s = ref (Rob.head_seq rob) in
+    (* a squash shrinks the window under the walk, which then stops *)
+    while Rob.contains rob !s do
+      let e = Rob.get rob !s in
+      incr s;
+      match e.state with
+      | Rob.Executing -> (
+        let d = e.done_at in
+        match e.instr with
+        | Instr.Load _ | Instr.Cas _ -> if d < !lo then lo := d
+        | _ when d > cycle -> if d < !lo then lo := d
+        | Instr.Branch _ ->
+          progress := true;
+          e.state <- Rob.Done;
+          resolve_branch t e ~cycle
+        | _ ->
+          progress := true;
+          e.state <- Rob.Done)
+      | Rob.Waiting | Rob.Done -> ()
+    done;
+    Rob.set_due_lo_after_scan rob !lo;
+    !progress
+  end

@@ -5,17 +5,22 @@ module Reg = Fscope_isa.Reg
 module Scope_unit = Fscope_core.Scope_unit
 open Core_state
 
-(* Positional source registers, matching how execution consumes them. *)
-let explicit_srcs = function
+(* The positional source operands, matching how execution consumes
+   them, each bound to its producer in [rename].  Built directly:
+   dispatch runs this for every instruction. *)
+let src rename r = { Rob.producer = rename.(Reg.index r); reg = r }
+
+let sources rename = function
   | Instr.Nop | Instr.Li _ | Instr.Tid _ | Instr.Jump _ | Instr.Fence _
   | Instr.Fs_start _ | Instr.Fs_end _ | Instr.Halt ->
-    []
-  | Instr.Alu (_, _, a, Instr.Reg b) -> [ a; b ]
-  | Instr.Alu (_, _, a, Instr.Imm _) -> [ a ]
-  | Instr.Load { base; _ } -> [ base ]
-  | Instr.Store { src; base; _ } -> [ src; base ]
-  | Instr.Cas { base; expected; desired; _ } -> [ base; expected; desired ]
-  | Instr.Branch { src; _ } -> [ src ]
+    [||]
+  | Instr.Alu (_, _, a, Instr.Reg b) -> [| src rename a; src rename b |]
+  | Instr.Alu (_, _, a, Instr.Imm _) -> [| src rename a |]
+  | Instr.Load { base; _ } -> [| src rename base |]
+  | Instr.Store { src = d; base; _ } -> [| src rename d; src rename base |]
+  | Instr.Cas { base; expected; desired; _ } ->
+    [| src rename base; src rename expected; src rename desired |]
+  | Instr.Branch { src = c; _ } -> [| src rename c |]
 
 let dispatch t ~cycle =
   let progress = ref false in
@@ -33,13 +38,7 @@ let dispatch t ~cycle =
       let pc = t.fetch_pc in
       let instr = t.code.(pc) in
       let seq = Rob.next_seq t.rob in
-      let srcs =
-        Array.of_list
-          (List.map
-             (fun r -> { Rob.producer = t.rename.(Reg.index r); reg = r })
-             (explicit_srcs instr))
-      in
-      let e = Rob.make_entry ~seq ~pc ~instr ~srcs in
+      let e = Rob.make_entry ~seq ~pc ~instr ~srcs:(sources t.rename instr) in
       (match instr with
       | Instr.Nop -> e.state <- Rob.Done
       | Instr.Fs_start cid ->

@@ -86,9 +86,10 @@ let delta prev now = Array.init (Array.length now) (fun i -> now.(i) - prev.(i))
 (* The relativized snapshot. *)
 
 (* A producer seq that already left the ROB is behaviorally identical
-   to [Arch] (src_value falls back to the architectural file), so dead
-   seqs relativize to the Arch sentinel; otherwise stale pointers from
-   before the loop would drift against [base] and block arming. *)
+   to [Arch] (src_ready / src_get fall back to the architectural
+   file), so dead seqs relativize to the Arch sentinel; otherwise stale
+   pointers from before the loop would drift against [base] and block
+   arming. *)
 let rel_producer t base = function
   | Rob.Arch -> -1
   | Rob.Rob s -> if Rob.contains t.rob s then base - s else -1
@@ -115,14 +116,14 @@ let build_snapshot t ~cycle =
         let state =
           match e.state with
           | Rob.Waiting -> (0, 0)
-          | Rob.Executing d ->
+          | Rob.Executing ->
             (* at the end of phase 3 every in-flight completion time is
                in the future; a stale one would not survive shifting *)
-            if d <= cycle then begin
+            if e.done_at <= cycle then begin
               ok := false;
               (1, 0)
             end
-            else (1, d - cycle)
+            else (1, e.done_at - cycle)
           | Rob.Done -> (2, 0)
         in
         entries :=
@@ -252,9 +253,11 @@ let replay t ~(stable : stable) ~k =
     let shift = k * stable.period in
     counts_add t.counts stable.d_counts ~k;
     List.iteri (fun i leaf -> Cpi.charge_n t.cpi leaf ~times:(k * stable.d_cpi.(i))) Cpi.leaves;
+    (* shifting every deadline forward keeps [Rob.due_lo] a valid
+       lower bound *)
     Rob.iter t.rob (fun e ->
         match e.state with
-        | Rob.Executing d -> e.state <- Rob.Executing (d + shift)
+        | Rob.Executing -> e.done_at <- e.done_at + shift
         | Rob.Waiting | Rob.Done -> ());
     if t.fetch_resume > stable.armed_cycle then t.fetch_resume <- t.fetch_resume + shift
   end

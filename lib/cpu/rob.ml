@@ -9,7 +9,7 @@ type src = {
 
 type exec_state =
   | Waiting
-  | Executing of int
+  | Executing
   | Done
 
 type entry = {
@@ -18,6 +18,7 @@ type entry = {
   instr : Fscope_isa.Instr.t;
   srcs : src array;
   mutable state : exec_state;
+  mutable done_at : int;
   mutable result : int;
   mutable addr : int;
   mutable data : int;
@@ -38,6 +39,7 @@ let make_entry ~seq ~pc ~instr ~srcs =
     instr;
     srcs;
     state = Waiting;
+    done_at = 0;
     result = 0;
     addr = -1;
     data = 0;
@@ -51,18 +53,43 @@ let make_entry ~seq ~pc ~instr ~srcs =
     checkpoint = None;
   }
 
+(* [slots] is a ring indexed from [head_slot] (= [head_seq mod size],
+   kept incrementally so lookups never divide); free slots hold
+   [vacant]. *)
 type t = {
   size : int;
-  slots : entry option array;
+  slots : entry array;
   mutable head_seq : int;
+  mutable head_slot : int;
   mutable tail_seq : int;
+  (* A lower bound on [done_at] over every [Executing] entry (see the
+     interface).  [set_exec] lowers it as entries start executing;
+     removing or finishing an entry can only raise the true minimum, so
+     those paths leave it alone. *)
+  mutable due_lo : int;
   trace : Fscope_obs.Trace.t;
   core : int;
 }
 
+let vacant = make_entry ~seq:(-1) ~pc:(-1) ~instr:Fscope_isa.Instr.Nop ~srcs:[||]
+
 let create ?(trace = Fscope_obs.Trace.null) ?(core = 0) ~size () =
   if size <= 0 then invalid_arg "Rob.create: size must be positive";
-  { size; slots = Array.make size None; head_seq = 0; tail_seq = 0; trace; core }
+  {
+    size;
+    slots = Array.make size vacant;
+    head_seq = 0;
+    head_slot = 0;
+    tail_seq = 0;
+    due_lo = max_int;
+    trace;
+    core;
+  }
+
+(* The slot of an in-flight seq, or of the next one to dispatch. *)
+let slot t seq =
+  let i = t.head_slot + (seq - t.head_seq) in
+  if i >= t.size then i - t.size else i
 
 let instr_class (i : Fscope_isa.Instr.t) : Fscope_obs.Event.instr_class =
   match i with
@@ -87,7 +114,7 @@ let next_seq t = t.tail_seq
 let dispatch t entry =
   if is_full t then invalid_arg "Rob.dispatch: full";
   if entry.seq <> t.tail_seq then invalid_arg "Rob.dispatch: wrong seq";
-  t.slots.(entry.seq mod t.size) <- Some entry;
+  t.slots.(slot t entry.seq) <- entry;
   t.tail_seq <- t.tail_seq + 1;
   if Fscope_obs.Trace.on t.trace then
     Fscope_obs.Trace.emit t.trace ~core:t.core
@@ -97,17 +124,16 @@ let contains t seq = seq >= t.head_seq && seq < t.tail_seq
 
 let get t seq =
   if not (contains t seq) then invalid_arg "Rob.get: seq not in flight";
-  match t.slots.(seq mod t.size) with
-  | Some e -> e
-  | None -> assert false
+  t.slots.(slot t seq)
 
 let head t = if is_empty t then None else Some (get t t.head_seq)
 
 let pop_head t =
   if is_empty t then invalid_arg "Rob.pop_head: empty";
-  let e = get t t.head_seq in
-  t.slots.(t.head_seq mod t.size) <- None;
+  let e = t.slots.(t.head_slot) in
+  t.slots.(t.head_slot) <- vacant;
   t.head_seq <- t.head_seq + 1;
+  t.head_slot <- (if t.head_slot + 1 = t.size then 0 else t.head_slot + 1);
   if Fscope_obs.Trace.on t.trace then
     Fscope_obs.Trace.emit t.trace ~core:t.core
       (Fscope_obs.Event.Rob_commit { pc = e.pc; cls = instr_class e.instr });
@@ -117,7 +143,7 @@ let squash_after t seq =
   let removed = ref [] in
   for s = t.tail_seq - 1 downto max (seq + 1) t.head_seq do
     removed := get t s :: !removed;
-    t.slots.(s mod t.size) <- None
+    t.slots.(slot t s) <- vacant
   done;
   if seq + 1 < t.tail_seq then t.tail_seq <- max (seq + 1) t.head_seq;
   !removed
@@ -127,18 +153,15 @@ let iter t f =
     f (get t s)
   done
 
-let exists_older t seq p =
-  let rec go s = s < min seq t.tail_seq && s >= t.head_seq && (p (get t s) || go (s + 1)) in
-  go t.head_seq
-
-let fold_older t seq f init =
-  let acc = ref init in
-  for s = t.head_seq to min seq t.tail_seq - 1 do
-    if s < seq then acc := f !acc (get t s)
-  done;
-  !acc
-
 let head_seq t = t.head_seq
+
+let set_exec t e ~done_at =
+  e.state <- Executing;
+  e.done_at <- done_at;
+  if done_at < t.due_lo then t.due_lo <- done_at
+
+let due_lo t = t.due_lo
+let set_due_lo_after_scan t d = t.due_lo <- d
 
 (* Checkpoint restore: overwrite the whole window.  Entries must be
    consecutive by seq starting at [head_seq] (the caller rebuilt them
@@ -146,12 +169,14 @@ let head_seq t = t.head_seq
    untraced-run facility. *)
 let restore t ~head_seq entries =
   if List.length entries > t.size then invalid_arg "Rob.restore: too many entries";
-  Array.fill t.slots 0 t.size None;
+  Array.fill t.slots 0 t.size vacant;
+  t.due_lo <- min_int;
   t.head_seq <- head_seq;
+  t.head_slot <- head_seq mod t.size;
   t.tail_seq <- head_seq;
   List.iter
     (fun e ->
       if e.seq <> t.tail_seq then invalid_arg "Rob.restore: non-consecutive seq";
-      t.slots.(e.seq mod t.size) <- Some e;
+      t.slots.(slot t e.seq) <- e;
       t.tail_seq <- t.tail_seq + 1)
     entries

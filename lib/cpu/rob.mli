@@ -21,15 +21,22 @@ type src = {
 
 type exec_state =
   | Waiting  (** operands not ready or structural/ordering hazard *)
-  | Executing of int  (** issued; completes at the given cycle *)
+  | Executing  (** issued; completes at the entry's [done_at] cycle *)
   | Done
 
 type entry = {
   seq : int;
   pc : int;
   instr : Fscope_isa.Instr.t;
-  srcs : src array;  (** in the order of {!Fscope_isa.Instr.reads_regs} *)
+  srcs : src array;
+      (** positional operands as execution consumes them: ALU [a] (then
+          [b] for a register operand), load [base], store [src; base],
+          CAS [base; expected; desired], branch [src] *)
   mutable state : exec_state;
+  mutable done_at : int;
+      (** completion cycle while [Executing]; meaningless otherwise.  Mark
+          entries executing through {!set_exec}, which keeps the
+          completion bound below valid. *)
   mutable result : int;  (** dst value: load data, ALU result, CAS success bit *)
   mutable addr : int;  (** memory address once computed; -1 = unknown *)
   mutable data : int;  (** store data / CAS desired value *)
@@ -87,17 +94,31 @@ val squash_after : t -> int -> entry list
 val iter : t -> (entry -> unit) -> unit
 (** All in-flight entries, oldest first. *)
 
-val exists_older : t -> int -> (entry -> bool) -> bool
-(** [exists_older t seq p]: does any in-flight entry older than [seq]
-    satisfy [p]? *)
-
-val fold_older : t -> int -> ('a -> entry -> 'a) -> 'a -> 'a
-(** Fold over entries older than [seq], oldest first. *)
-
 val head_seq : t -> int
 (** The seq of the oldest in-flight entry (= the next to commit). *)
+
+(** {2 Completion bound}
+
+    [due_lo] is a lower bound on [done_at] over every [Executing]
+    entry ([max_int] when nothing can be pending).  A completion scan
+    at [cycle < due_lo t] would find nothing due, so the pipeline
+    stages skip it.  A bound that is too low only costs a scan. *)
+
+val set_exec : t -> entry -> done_at:int -> unit
+(** Mark an entry [Executing] until [done_at], lowering [due_lo] to
+    cover it.  This is the only way an entry becomes [Executing]: every
+    issue path and the checkpoint decoder go through here. *)
+
+val due_lo : t -> int
+
+val set_due_lo_after_scan : t -> int -> unit
+(** Only for [Core_exec.finalize], which walks the whole window and
+    passes the exact minimum [done_at] over the entries still
+    [Executing] after its walk ([max_int] if none).  A higher value
+    would skip a due completion. *)
 
 val restore : t -> head_seq:int -> entry list -> unit
 (** Checkpoint restore: replace the whole window with [entries], which
     must carry consecutive seqs starting at [head_seq] (oldest first).
-    Emits no events. *)
+    Resets [due_lo] to [min_int], so the next completion scans run and
+    recompute it.  Emits no events. *)

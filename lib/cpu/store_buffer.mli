@@ -36,12 +36,20 @@ val push : t -> entry -> unit
 val take_completed : t -> cycle:int -> entry list
 (** Remove and return every entry with [done_at <= cycle], oldest
     first.  These are the stores whose values the machine must apply
-    to memory this cycle. *)
+    to memory this cycle.  Allocates nothing when none is due. *)
 
 val forward : t -> addr:int -> int option
 (** Youngest entry to [addr], for store-to-load forwarding. *)
 
 val has_addr : t -> addr:int -> bool
+
+val last_done_at : t -> addr:int -> int
+(** The latest [done_at] among entries to [addr]; [0] when there is
+    none.  A newer store to [addr] must complete after it. *)
+
+val next_done_after : t -> cycle:int -> int
+(** The earliest [done_at] strictly after [cycle]; [max_int] when there
+    is none. *)
 
 val mask_overlaps : t -> Fscope_core.Fsb.mask -> bool
 (** Does any entry's scope bits intersect the given mask?  (The fence

@@ -2,6 +2,8 @@
    is covered end to end by test_sim and test_differential). *)
 
 module Rob = Fscope_cpu.Rob
+module Core = Fscope_cpu.Core
+module Mem_port = Fscope_cpu.Mem_port
 module Sb = Fscope_cpu.Store_buffer
 module Bp = Fscope_cpu.Branch_pred
 module Instr = Fscope_isa.Instr
@@ -46,12 +48,144 @@ let test_rob_iteration_helpers () =
   for s = 0 to 4 do
     Rob.dispatch rob (entry s)
   done;
-  Alcotest.(check bool) "exists_older finds" true
-    (Rob.exists_older rob 3 (fun e -> e.Rob.seq = 2));
-  Alcotest.(check bool) "exists_older bounded" false
-    (Rob.exists_older rob 3 (fun e -> e.Rob.seq = 3));
-  let seen = Rob.fold_older rob 4 (fun acc e -> e.Rob.seq :: acc) [] in
-  Alcotest.(check (list int)) "fold_older oldest-first" [ 3; 2; 1; 0 ] seen
+  let seen = ref [] in
+  Rob.iter rob (fun e -> seen := e.Rob.seq :: !seen);
+  Alcotest.(check (list int)) "iter oldest-first" [ 0; 1; 2; 3; 4 ] (List.rev !seen);
+  Alcotest.(check int) "nothing pending" max_int (Rob.due_lo rob);
+  Rob.set_exec rob (Rob.get rob 3) ~done_at:20;
+  Rob.set_exec rob (Rob.get rob 1) ~done_at:12;
+  Rob.set_exec rob (Rob.get rob 2) ~done_at:15;
+  Alcotest.(check int) "set_exec lowers the bound" 12 (Rob.due_lo rob);
+  Alcotest.(check bool) "executing" true ((Rob.get rob 1).Rob.state = Rob.Executing);
+  Rob.restore rob ~head_seq:7 [];
+  Alcotest.(check int) "restore resets the bound" min_int (Rob.due_lo rob)
+
+(* ------------------------------------------------------------------ *)
+(* Memory ordering in a live core.  Each case hand-assembles a tiny
+   program for one core over a flat memory whose accesses take [slow]
+   cycles at the [slow_addrs] and 2 cycles elsewhere, steps it with the
+   machine's three-phase protocol, and watches the ROB after every
+   cycle: the ordering rule must show in the pipeline, not just in the
+   final memory. *)
+
+let r = Reg.r
+let ld dst base off = Instr.Load { dst; base; off; flagged = false }
+let st src base off = Instr.Store { src; base; off; flagged = false }
+
+let run_core ?(slow = 40) ~slow_addrs ~mem code ~observe =
+  let port =
+    Mem_port.make ~size:(Array.length mem)
+      ~issue:(fun ~core:_ _ ~addr ~now ->
+        ((now + if List.mem addr slow_addrs then slow else 2), Fscope_obs.Event.L1_hit))
+      ~load:(fun ~addr -> mem.(addr))
+      ~store:(fun ~addr ~value -> mem.(addr) <- value)
+  in
+  let core =
+    Core.create ~id:0 ~code ~port ~scope_config:Fscope_core.Scope_unit.default_config
+      ~exec_config:Fscope_cpu.Exec_config.default ()
+  in
+  let cycle = ref 0 in
+  while (not (Core.drained core)) && !cycle < 1000 do
+    ignore (Core.step_complete_writes core ~cycle:!cycle);
+    ignore (Core.step_complete_reads core ~cycle:!cycle);
+    ignore (Core.step_pipeline core ~cycle:!cycle);
+    observe (Core.rob core);
+    incr cycle
+  done;
+  Alcotest.(check bool) "core drained" true (Core.drained core)
+
+(* The in-flight entry dispatched from [pc], if any. *)
+let at_pc rob pc =
+  let found = ref None in
+  Rob.iter rob (fun e -> if e.Rob.pc = pc then found := Some e);
+  !found
+
+let test_load_waits_unknown_store_addr () =
+  (* The store's base comes from a slow load, so its address stays
+     unknown for ~40 cycles; the younger load to the same word has its
+     address at once and must still wait, then forward the data. *)
+  let mem = Array.make 16 0 in
+  mem.(0) <- 5;
+  let code =
+    [| Instr.Li (r 1, 7); ld (r 2) Reg.zero 0; st (r 1) (r 2) 0; ld (r 3) Reg.zero 5;
+       st (r 3) Reg.zero 6; Instr.Halt |]
+  in
+  let held = ref false in
+  run_core ~slow_addrs:[ 0 ] ~mem code ~observe:(fun rob ->
+      match (at_pc rob 2, at_pc rob 3) with
+      | Some s, Some l when s.Rob.addr < 0 ->
+        if l.Rob.addr = 5 && l.Rob.state = Rob.Waiting then held := true;
+        Alcotest.(check bool) "load not issued past an unknown store address" true
+          (l.Rob.state = Rob.Waiting)
+      | _ -> ());
+  Alcotest.(check bool) "load sat ready but waiting" true !held;
+  Alcotest.(check int) "load saw the store's data" 7 mem.(6)
+
+let test_forward_youngest_store () =
+  (* A slow head load keeps both same-address stores in the ROB; the
+     load must forward from the younger one. *)
+  let mem = Array.make 16 0 in
+  let code =
+    [| ld (r 7) Reg.zero 0; Instr.Li (r 1, 1); Instr.Li (r 2, 2); st (r 1) Reg.zero 5;
+       st (r 2) Reg.zero 5; ld (r 3) Reg.zero 5; st (r 3) Reg.zero 6; Instr.Halt |]
+  in
+  let forwarded = ref false in
+  run_core ~slow_addrs:[ 0 ] ~mem code ~observe:(fun rob ->
+      match (at_pc rob 0, at_pc rob 5) with
+      | Some _, Some l when l.Rob.state <> Rob.Waiting ->
+        forwarded := true;
+        Alcotest.(check int) "forwarded in the ROB" 1 l.Rob.data2;
+        Alcotest.(check int) "from the youngest store" 2 l.Rob.result
+      | _ -> ());
+  Alcotest.(check bool) "load issued while the stores were in flight" true !forwarded;
+  Alcotest.(check int) "final value" 2 mem.(6)
+
+let test_load_after_completed_cas () =
+  (* A completed CAS has written memory; with the CAS still in the ROB
+     (a slow head load holds commit), the younger load reads memory. *)
+  let mem = Array.make 16 0 in
+  let code =
+    [| ld (r 7) Reg.zero 0; Instr.Li (r 1, 0); Instr.Li (r 2, 9);
+       Instr.Cas
+         { dst = r 3; base = Reg.zero; off = 5; expected = r 1; desired = r 2;
+           flagged = false };
+       ld (r 4) Reg.zero 5; st (r 4) Reg.zero 6; st (r 3) Reg.zero 7; Instr.Halt |]
+  in
+  let seen = ref false in
+  run_core ~slow_addrs:[ 0 ] ~mem code ~observe:(fun rob ->
+      match (at_pc rob 3, at_pc rob 4) with
+      | Some c, Some l when l.Rob.state <> Rob.Waiting ->
+        seen := true;
+        Alcotest.(check bool) "CAS completed first" true (c.Rob.state = Rob.Done);
+        Alcotest.(check int) "load reads memory" 0 l.Rob.data2
+      | _ -> ());
+  Alcotest.(check bool) "load issued with the CAS in the ROB" true !seen;
+  Alcotest.(check int) "CAS succeeded" 1 mem.(7);
+  Alcotest.(check int) "load saw the CAS's write" 9 mem.(6)
+
+let test_cas_blocked_by_older_load () =
+  (* The older load to the CAS's word is slow; the CAS has its address
+     and operands at once but must not issue until the load is done,
+     or the load would see the CAS's write. *)
+  let mem = Array.make 16 0 in
+  let code =
+    [| ld (r 1) Reg.zero 5; Instr.Li (r 2, 0); Instr.Li (r 3, 9);
+       Instr.Cas
+         { dst = r 4; base = Reg.zero; off = 5; expected = r 2; desired = r 3;
+           flagged = false };
+       st (r 1) Reg.zero 6; Instr.Halt |]
+  in
+  let held = ref false in
+  run_core ~slow_addrs:[ 5 ] ~mem code ~observe:(fun rob ->
+      match (at_pc rob 0, at_pc rob 3) with
+      | Some l, Some c when l.Rob.state <> Rob.Done ->
+        if c.Rob.addr = 5 then held := true;
+        Alcotest.(check bool)
+          "CAS waits for the older load" true (c.Rob.state = Rob.Waiting)
+      | _ -> ());
+  Alcotest.(check bool) "CAS sat with its address known" true !held;
+  Alcotest.(check int) "load saw the old value" 0 mem.(6);
+  Alcotest.(check int) "CAS wrote afterwards" 9 mem.(5)
 
 let sb_entry ?(mask = Fsb.empty) ~addr ~done_at () =
   { Sb.addr; value = 7; mask; done_at }
@@ -123,6 +257,14 @@ let tests =
     Alcotest.test_case "rob wrong seq" `Quick test_rob_wrong_seq;
     Alcotest.test_case "rob squash" `Quick test_rob_squash;
     Alcotest.test_case "rob iteration" `Quick test_rob_iteration_helpers;
+    Alcotest.test_case "load waits on unknown store address" `Quick
+      test_load_waits_unknown_store_addr;
+    Alcotest.test_case "load forwards from youngest store" `Quick
+      test_forward_youngest_store;
+    Alcotest.test_case "load after completed CAS reads memory" `Quick
+      test_load_after_completed_cas;
+    Alcotest.test_case "CAS blocked by older same-address load" `Quick
+      test_cas_blocked_by_older_load;
     Alcotest.test_case "sb completion order" `Quick test_sb_fifo_and_completion;
     Alcotest.test_case "sb forwarding" `Quick test_sb_forward_youngest;
     Alcotest.test_case "sb mask overlap" `Quick test_sb_mask_overlap;

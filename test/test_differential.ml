@@ -603,6 +603,119 @@ let test_compact_checkpoint () =
     Alcotest.(check bool) "compact resume == uninterrupted run" true
       (strip_spin resumed = strip_spin baseline)
 
+(* ------------------------------------------------------------------ *)
+(* The completion bound.  Core_exec skips its completion scans while
+   the cycle is below [Rob.due_lo], so the bound must never exceed a
+   pending deadline, and the scans it does run must leave no entry
+   executing past its deadline.  Checked after every cycle of a naive
+   three-phase loop over the random program families, through
+   mispredict squashes and a checkpoint restore into fresh cores. *)
+
+module Core = Fscope_cpu.Core
+module Rob = Fscope_cpu.Rob
+module Hierarchy = Fscope_mem.Hierarchy
+module Program = Fscope_isa.Program
+
+let check_completion_bound ~what core ~cycle =
+  let rob = Core.rob core in
+  Rob.iter rob (fun e ->
+      if e.Rob.state = Rob.Executing then begin
+        if e.Rob.done_at <= cycle then
+          Alcotest.failf "%s, cycle %d: seq %d still executing, due at %d" what cycle
+            e.Rob.seq e.Rob.done_at;
+        if Rob.due_lo rob > e.Rob.done_at then
+          Alcotest.failf "%s, cycle %d: due_lo %d above seq %d's deadline %d" what cycle
+            (Rob.due_lo rob) e.Rob.seq e.Rob.done_at
+      end)
+
+(* Returns the run's mispredict count and whether it reached the
+   restore point, so the caller can tell both paths ran. *)
+let run_checking_bound ~what (config : Config.t) program ~restore_at =
+  let n = Program.thread_count program in
+  let mem = Program.initial_memory program in
+  let hierarchy = Hierarchy.create ~cores:n config.Config.mem in
+  let kind = function
+    | Fscope_cpu.Mem_port.Read -> Hierarchy.Read
+    | Fscope_cpu.Mem_port.Write -> Hierarchy.Write
+    | Fscope_cpu.Mem_port.Rmw -> Hierarchy.Rmw
+  in
+  let port =
+    Fscope_cpu.Mem_port.make ~size:(Array.length mem)
+      ~issue:(fun ~core k ~addr ~now ->
+        match config.Config.mem_model with
+        | Config.Ideal -> (now + 1, Fscope_obs.Event.L1_hit)
+        | Config.Hierarchy ->
+          let latency, level =
+            Hierarchy.access_classified hierarchy ~core (kind k) ~addr
+          in
+          (now + latency, level))
+      ~load:(fun ~addr -> mem.(addr))
+      ~store:(fun ~addr ~value -> mem.(addr) <- value)
+  in
+  let fresh id =
+    Core.create ~id ~code:program.Program.threads.(id) ~port
+      ~scope_config:config.Config.scope ~exec_config:config.Config.exec ()
+  in
+  let cores = Array.init n fresh in
+  let cycle = ref 0 in
+  while
+    (not (Array.for_all Core.drained cores)) && !cycle < config.Config.max_cycles
+  do
+    if !cycle = restore_at then
+      Array.iteri
+        (fun id core ->
+          let j = Json.parse (Json.render (Core.snapshot core)) in
+          let c = fresh id in
+          Core.restore c j;
+          if Rob.due_lo (Core.rob c) <> min_int then
+            Alcotest.failf "%s: restore left due_lo at %d" what (Rob.due_lo (Core.rob c));
+          cores.(id) <- c)
+        cores;
+    let c = !cycle in
+    Array.iter (fun core -> ignore (Core.step_complete_writes core ~cycle:c)) cores;
+    Array.iter (fun core -> ignore (Core.step_complete_reads core ~cycle:c)) cores;
+    Array.iter (fun core -> ignore (Core.step_pipeline core ~cycle:c)) cores;
+    Array.iter (check_completion_bound ~what ~cycle:c) cores;
+    incr cycle
+  done;
+  let reference = Machine.run_reference config program in
+  if !cycle <> reference.Machine.cycles then
+    Alcotest.failf "%s: %d cycles, reference %d" what !cycle reference.Machine.cycles;
+  if mem <> reference.Machine.mem then Alcotest.failf "%s: final memory differs" what;
+  ( Array.fold_left (fun acc core -> acc + (Core.stats core).Core.mispredicts) 0 cores,
+    !cycle > restore_at )
+
+let test_completion_bound () =
+  let mispredicts = ref 0 and restores = ref 0 in
+  let check ~what config program =
+    List.iter
+      (fun restore_at ->
+        let m, restored =
+          run_checking_bound
+            ~what:(Printf.sprintf "%s, restore at %d" what restore_at)
+            config program ~restore_at
+        in
+        mispredicts := !mispredicts + m;
+        if restored then incr restores)
+      [ 60; 400 ]
+  in
+  List.iter
+    (fun (label, config) ->
+      for seed = 1 to 12 do
+        check
+          ~what:(Printf.sprintf "seed %d (%s)" seed label)
+          config
+          (fst (Compile.compile (gen_program seed)));
+        if seed <= 4 then
+          check
+            ~what:(Printf.sprintf "disjoint seed %d (%s)" seed label)
+            config
+            (fst (Compile.compile (gen_disjoint_program seed ~threads:4)))
+      done)
+    configs;
+  if !mispredicts = 0 then Alcotest.fail "no run squashed a mispredicted path";
+  if !restores = 0 then Alcotest.fail "no run reached its restore point"
+
 let tests =
   [
     Alcotest.test_case "random programs 1-60" `Quick (test_differential_batch 1 60);
@@ -615,4 +728,6 @@ let tests =
     QCheck_alcotest.to_alcotest prop_checkpoint_roundtrip;
     Alcotest.test_case "compact checkpoint: >=5x smaller, identical resume" `Quick
       test_compact_checkpoint;
+    Alcotest.test_case "completion bound holds every cycle (squash, restore)" `Quick
+      test_completion_bound;
   ]

@@ -107,6 +107,33 @@ let test_spin_fastforward () =
     (ff_on.Machine.spin.Machine.cycles_skipped > 0);
   Alcotest.(check int) "FF off skipped nothing" 0 ff_off.Machine.spin.Machine.cycles_skipped
 
+(* Allocation is exact for a fixed binary and input, so it is gated
+   tightly: a small pst run on the S-Fence machine must stay under a
+   words-per-committed-instruction bound set 10% above its measured
+   value (103.5 words with OCaml 5.1.1; the same run allocated 528
+   before the issue and completion stages stopped allocating per
+   cycle).  The run keeps the ROB nearly full, so per-cycle allocation
+   in those stages shows up here first. *)
+let words_per_instr_bound = 114.0
+
+let test_words_per_instr () =
+  let w =
+    Fscope_workloads.Pst.make ~threads:4 ~nodes:128 ~degree:4 ~seed:1 ~scope:`Class ()
+  in
+  let config = Config.scoped Config.default in
+  let program = w.Fscope_workloads.Workload.program in
+  let w0 = Gc.minor_words () in
+  let result = Machine.run config program in
+  let words = Gc.minor_words () -. w0 in
+  let committed =
+    Array.fold_left (fun acc (s : Fscope_cpu.Core.stats) -> acc + s.committed) 0
+      result.Machine.core_stats
+  in
+  let per_instr = words /. float_of_int committed in
+  if per_instr > words_per_instr_bound then
+    Alcotest.failf "%.2f words per committed instruction, bound %.2f" per_instr
+      words_per_instr_bound
+
 let tests =
   [
     Alcotest.test_case "fig12 parallel fan-out is deterministic" `Quick
@@ -115,6 +142,8 @@ let tests =
       (test_jobs_identical "fig13" render_fig13);
     Alcotest.test_case "traced engine run matches traced reference" `Quick
       test_traced_identical;
+    Alcotest.test_case "pst words per instruction under bound" `Quick
+      test_words_per_instr;
     Alcotest.test_case "spin fast-forward sleeps and stays bit-identical" `Quick
       test_spin_fastforward;
   ]
