@@ -8,17 +8,15 @@
                                               across 4 domains
      dune exec bench/main.exe -- engine    -- fast-forward engine vs
                                               the naive cycle loop
-     dune exec bench/main.exe -- bechamel  -- wall-clock cost of the
-                                              simulator itself, one
-                                              Bechamel test per artefact
 
    The simulator is deterministic, so every table below reproduces
    bit-for-bit regardless of --jobs; EXPERIMENTS.md records these
-   outputs against the paper's claims.  Each non-bechamel invocation
-   also drops BENCH_engine.json (wall-clock per artefact plus the
-   engine-vs-naive comparison) for CI to archive. *)
+   outputs against the paper's claims.  Each invocation also drops
+   BENCH_engine.json (wall-clock per artefact plus the engine-vs-naive
+   comparison) for CI to archive. *)
 
 module Table = Fscope_util.Table
+module Json = Fscope_util.Json
 module Config = Fscope_machine.Config
 module Machine = Fscope_machine.Machine
 module Registry = Fscope_workloads.Registry
@@ -124,7 +122,7 @@ let run_engine ~quick () =
           (app, "S", E.Exp_run.s_config Config.default, w);
           ( app,
             "T lat500",
-            E.Exp_run.t_config (Config.with_mem_latency 500 Config.default),
+            E.Exp_run.t_config (Config.v ~mem_latency:500 ()),
             w );
         ])
       apps
@@ -200,9 +198,7 @@ let profile_inputs = ref ([] : Obs.Profile.input list)
    a capped run is reported with its [timed_out] flag set rather than
    spinning out the 30M-cycle default budget at traced-run speed. *)
 let profile_configs ~quick =
-  let base =
-    Config.with_max_cycles (if quick then 100_000 else 300_000) Config.default
-  in
+  let base = Config.v ~max_cycles:(if quick then 100_000 else 300_000) () in
   [ E.Exp_run.s_config base; E.Exp_run.t_config base; E.Exp_run.nf_config base ]
 
 let run_profile ~quick () =
@@ -267,22 +263,18 @@ let run_profile ~quick () =
     inputs;
   Table.print t
 
-let write_profile_json ~quick path =
-  let buf = Buffer.create 65536 in
-  Buffer.add_string buf "{\n  \"schema\": \"fence-scoping/bench-profile/v2\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"quick\": %b,\n" quick);
-  Buffer.add_string buf "  \"profiles\": [";
-  List.iteri
-    (fun i p ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf "\n    ";
-      Buffer.add_string buf (Obs.Profile.json p))
-    !profile_inputs;
-  Buffer.add_string buf "\n  ]\n}\n";
+(* Every BENCH file is a Trend envelope, rendered with one row per
+   line so the committed baselines diff row by row. *)
+let write_json path doc =
   let oc = open_out path in
-  output_string oc (Buffer.contents buf);
+  output_string oc (Json.render_pretty ~flat_depth:2 doc ^ "\n");
   close_out oc;
   say "wrote %s" path
+
+let write_profile_json ~quick ~jobs path =
+  write_json path
+    (E.Trend.envelope ~schema:E.Trend.profile_schema ~quick ~jobs
+       [ ("profiles", Json.Arr (List.map Obs.Profile.to_json !profile_inputs)) ])
 
 (* ------------------------------------------------------------------ *)
 (* Server artefact: the high-traffic suite (MPMC dispatch, cache with
@@ -328,10 +320,7 @@ let run_server ~quick () =
   if cpus < 2 then say "server: cross-jobs determinism check skipped (host reports %d CPU)" cpus
 
 let write_server_json ~quick ~jobs path =
-  let oc = open_out path in
-  output_string oc (E.Server.json ~quick ~jobs !server_rows);
-  close_out oc;
-  say "wrote %s" path
+  write_json path (E.Server.to_json ~quick ~jobs !server_rows)
 
 (* ------------------------------------------------------------------ *)
 (* Jobs-scaling artefact: the same experiment points measured with one
@@ -431,7 +420,7 @@ let run_sampled_sim ~quick () =
   let w = W.Mpmc.make ~threads ~per_producer:per ~scope:`Class () in
   let s = E.Exp_run.s_config Config.default in
   let sampled_config =
-    Config.with_sampling (Some (E.Server.sampled_sampling ~quick)) s
+    Config.v ~base:s ~sampling:(Some (E.Server.sampled_sampling ~quick)) ()
   in
   let detailed_r, detailed_s =
     timed (fun () -> Machine.run s w.W.Workload.program)
@@ -532,139 +521,77 @@ let fallback_engine_row () =
 
 let write_bench_json ~quick ~jobs path =
   if !engine_rows = [] then engine_rows := [ fallback_engine_row () ];
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\n";
-  add "  \"schema\": \"fence-scoping/bench-engine/v4\",\n";
-  add "  \"quick\": %b,\n" quick;
-  add "  \"jobs\": %d,\n" jobs;
-  add "  \"artefacts\": [";
-  List.iteri
-    (fun i (name, s) ->
-      add "%s\n    {\"name\": %S, \"seconds\": %.3f%s}"
-        (if i = 0 then "" else ",")
-        name s
-        (if List.mem name !skipped_artefacts then ", \"skipped\": true" else ""))
-    (List.rev !artefact_times);
-  add "\n  ],\n";
-  add "  \"engine_vs_naive\": [";
-  List.iteri
-    (fun i r ->
-      add
-        "%s\n    {\"workload\": %S, \"config\": %S, \"sim_cycles\": %d, \
-         \"engine_seconds\": %.3f, \"naive_seconds\": %.3f, \"speedup\": %.2f, \
-         \"engine_cycles_per_sec\": %.0f, \"naive_cycles_per_sec\": %.0f, \
-         \"spin_cycles_skipped\": %d, \"spin_sleeps\": %d}"
-        (if i = 0 then "" else ",")
-        r.er_workload r.er_config r.er_cycles r.er_engine_s r.er_naive_s
-        (r.er_naive_s /. r.er_engine_s)
-        (float_of_int r.er_cycles /. r.er_engine_s)
-        (float_of_int r.er_cycles /. r.er_naive_s)
-        r.er_spin_skipped r.er_spin_sleeps)
-    !engine_rows;
-  add "\n  ]";
-  (match !jobs_scaling_row with
-  | None -> ()
-  | Some js ->
-    add ",\n";
-    add
-      "  \"jobs_scaling\": {\"cpus\": %d, \"points\": %d, \"jobs\": %d, \
-       \"seq_seconds\": %.3f, \"par_seconds\": %.3f, \"speedup\": %.2f}"
-      js.js_cpus js.js_points js.js_jobs js.js_seq_s js.js_par_s
-      (js.js_seq_s /. js.js_par_s));
-  (match !sampled_cmp_row with
-  | None -> ()
-  | Some sm ->
-    add ",\n";
-    add
-      "  \"sampled_sim\": {\"workload\": %S, \"detailed_cycles\": %d, \
-       \"sampled_cycles\": %d, \"cycles_err_pct\": %.2f, \"fence_err_pp\": %.2f, \
-       \"detailed_seconds\": %.3f, \"sampled_seconds\": %.3f, \"speedup\": %.2f}"
-      sm.sm_workload sm.sm_detailed_cycles sm.sm_sampled_cycles sm.sm_cycles_err_pct
-      sm.sm_fence_err_pp sm.sm_detailed_s sm.sm_sampled_s sm.sm_speedup);
-  (match !engine_rows with
-  | [] -> add "\n"
-  | rows ->
-    let tot f = List.fold_left (fun acc r -> acc +. f r) 0. rows in
-    let e = tot (fun r -> r.er_engine_s) and nv = tot (fun r -> r.er_naive_s) in
-    add ",\n";
-    add "  \"engine_total_seconds\": %.3f,\n" e;
-    add "  \"naive_total_seconds\": %.3f,\n" nv;
-    add "  \"overall_speedup\": %.2f\n" (nv /. e));
-  add "}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  say "wrote %s" path
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel: wall-clock cost of regenerating each artefact, measured
-   on reduced-size runs so sampling stays tractable.                   *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  let staged f = Staged.stage f in
-  [
-    Test.make ~name:"table3" (staged (fun () -> ignore (E.Tables.table3 Config.default)));
-    Test.make ~name:"table4" (staged (fun () -> ignore (E.Tables.table4 ())));
-    Test.make ~name:"hw-cost"
-      (staged (fun () -> ignore (E.Tables.hardware_cost_bits Config.default)));
-    Test.make ~name:"fig12-cell"
-      (staged (fun () ->
-           let w =
-             workload "dekker"
-               { Registry.default_params with
-                 level = Fscope_workloads.Privwork.fig12_levels.(0);
-                 attempts = 5 }
-           in
-           ignore (E.Exp_run.measure (E.Exp_run.s_config Config.default) w)));
-    Test.make ~name:"fig13-cell"
-      (staged (fun () ->
-           let w = workload "radiosity" { Registry.default_params with size = Some 32 } in
-           ignore (E.Exp_run.measure (E.Exp_run.s_config Config.default) w)));
-    Test.make ~name:"fig14-cell"
-      (staged (fun () ->
-           let w =
-             workload "harris"
-               { Registry.default_params with
-                 scope = `Set;
-                 level = Fscope_workloads.Privwork.fig12_levels.(0) }
-           in
-           ignore (E.Exp_run.measure (E.Exp_run.s_config Config.default) w)));
-    Test.make ~name:"fig15-cell"
-      (staged (fun () ->
-           let w = workload "barnes" { Registry.default_params with size = Some 64 } in
-           let c = Config.with_mem_latency 200 Config.default in
-           ignore (E.Exp_run.measure (E.Exp_run.s_config c) w)));
-    Test.make ~name:"fig16-cell"
-      (staged (fun () ->
-           let w = workload "barnes" { Registry.default_params with size = Some 64 } in
-           let c = Config.with_rob_size 64 Config.default in
-           ignore (E.Exp_run.measure (E.Exp_run.s_config c) w)));
-    Test.make ~name:"ablate-cell"
-      (staged (fun () ->
-           let w = workload "nested-scopes" { Registry.default_params with rounds = Some 8 } in
-           ignore (E.Exp_run.measure (E.Exp_run.s_config Config.default) w)));
-  ]
-
-let run_bechamel () =
-  let open Bechamel in
-  let tests = Test.make_grouped ~name:"bench" (bechamel_tests ()) in
-  let cfg = Benchmark.cfg ~limit:20 ~quota:(Time.second 2.0) ~stabilize:false () in
-  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] tests in
-  let results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      Toolkit.Instance.monotonic_clock raw
+  let artefact (name, s) =
+    Json.Obj
+      ([ ("name", Json.Str name); ("seconds", Json.fixed 3 s) ]
+      @ if List.mem name !skipped_artefacts then [ ("skipped", Json.Bool true) ] else [])
   in
-  let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
-  List.iter
-    (fun (name, ols) ->
-      match Analyze.OLS.estimates ols with
-      | Some [ est ] -> say "%-40s %12.3f ms/run" name (est /. 1e6)
-      | Some _ | None -> say "%-40s (no estimate)" name)
-    (List.sort (fun (a, _) (b, _) -> String.compare a b) rows)
+  let per_sec cycles s = float_of_int cycles /. s in
+  let engine_row r =
+    Json.Obj
+      [
+        ("workload", Json.Str r.er_workload);
+        ("config", Json.Str r.er_config);
+        ("sim_cycles", Json.Int r.er_cycles);
+        ("engine_seconds", Json.fixed 3 r.er_engine_s);
+        ("naive_seconds", Json.fixed 3 r.er_naive_s);
+        ("speedup", Json.fixed 2 (r.er_naive_s /. r.er_engine_s));
+        ("engine_cycles_per_sec", Json.fixed 0 (per_sec r.er_cycles r.er_engine_s));
+        ("naive_cycles_per_sec", Json.fixed 0 (per_sec r.er_cycles r.er_naive_s));
+        ("spin_cycles_skipped", Json.Int r.er_spin_skipped);
+        ("spin_sleeps", Json.Int r.er_spin_sleeps);
+      ]
+  in
+  let jobs_scaling =
+    match !jobs_scaling_row with
+    | None -> []
+    | Some js ->
+      [
+        ( "jobs_scaling",
+          Json.Obj
+            [
+              ("cpus", Json.Int js.js_cpus);
+              ("points", Json.Int js.js_points);
+              ("jobs", Json.Int js.js_jobs);
+              ("seq_seconds", Json.fixed 3 js.js_seq_s);
+              ("par_seconds", Json.fixed 3 js.js_par_s);
+              ("speedup", Json.fixed 2 (js.js_seq_s /. js.js_par_s));
+            ] );
+      ]
+  in
+  let sampled_sim =
+    match !sampled_cmp_row with
+    | None -> []
+    | Some sm ->
+      [
+        ( "sampled_sim",
+          Json.Obj
+            [
+              ("workload", Json.Str sm.sm_workload);
+              ("detailed_cycles", Json.Int sm.sm_detailed_cycles);
+              ("sampled_cycles", Json.Int sm.sm_sampled_cycles);
+              ("cycles_err_pct", Json.fixed 2 sm.sm_cycles_err_pct);
+              ("fence_err_pp", Json.fixed 2 sm.sm_fence_err_pp);
+              ("detailed_seconds", Json.fixed 3 sm.sm_detailed_s);
+              ("sampled_seconds", Json.fixed 3 sm.sm_sampled_s);
+              ("speedup", Json.fixed 2 sm.sm_speedup);
+            ] );
+      ]
+  in
+  let tot f = List.fold_left (fun acc r -> acc +. f r) 0. !engine_rows in
+  let e = tot (fun r -> r.er_engine_s) and nv = tot (fun r -> r.er_naive_s) in
+  write_json path
+    (E.Trend.envelope ~schema:E.Trend.engine_schema ~quick ~jobs
+       ([
+          ("artefacts", Json.Arr (List.map artefact (List.rev !artefact_times)));
+          ("engine_vs_naive", Json.Arr (List.map engine_row !engine_rows));
+        ]
+       @ jobs_scaling @ sampled_sim
+       @ [
+           ("engine_total_seconds", Json.fixed 3 e);
+           ("naive_total_seconds", Json.fixed 3 nv);
+           ("overall_speedup", Json.fixed 2 (nv /. e));
+         ]))
 
 let artefacts ~quick =
   [
@@ -689,7 +616,7 @@ let run_artefact (name, f) =
   artefact_times := (name, s) :: !artefact_times
 
 (* "quick" and "--jobs N" / "--jobs=N" are modifiers; everything else
-   names an artefact, or is the lone word "bechamel".  A bad --jobs
+   names an artefact.  A bad --jobs
    value or an unknown name prints usage and exits 2 before any
    artefact runs, so a misspelt artefact in a CI step fails loudly. *)
 let parse_args args =
@@ -697,7 +624,6 @@ let parse_args args =
     Printf.eprintf
       "bench: %s\n\
        usage: main.exe [quick] [--jobs N] [ARTEFACT ...]\n\
-      \       main.exe bechamel\n\
        artefacts: %s\n"
       msg
       (String.concat ", " (List.map fst (artefacts ~quick:false)));
@@ -724,33 +650,26 @@ let parse_args args =
       | None -> go quick jobs (arg :: wanted) rest)
   in
   let quick, jobs, wanted = go false 1 [] args in
-  (match wanted with
-  | [ "bechamel" ] -> ()
-  | names ->
-    List.iter
-      (fun name ->
-        if not (List.mem_assoc name (artefacts ~quick)) then
-          usage (Printf.sprintf "unknown artefact %s" name))
-      names);
+  List.iter
+    (fun name ->
+      if not (List.mem_assoc name (artefacts ~quick)) then
+        usage (Printf.sprintf "unknown artefact %s" name))
+    wanted;
   (quick, jobs, wanted)
 
 let () =
   let quick, jobs, wanted = parse_args (Array.to_list Sys.argv |> List.tl) in
   E.Exp_run.set_jobs jobs;
-  match wanted with
-  | [ "bechamel" ] -> run_bechamel ()
+  (match wanted with
   | [] ->
     List.iter
       (fun (name, f) ->
         say "";
         say "### %s" name;
         run_artefact (name, f))
-      (artefacts ~quick);
-    write_bench_json ~quick ~jobs "BENCH_engine.json";
-    if !profile_inputs <> [] then write_profile_json ~quick "BENCH_profile.json";
-    if !server_rows <> [] then write_server_json ~quick ~jobs "BENCH_server.json"
+      (artefacts ~quick)
   | names ->
-    List.iter (fun name -> run_artefact (name, List.assoc name (artefacts ~quick))) names;
-    write_bench_json ~quick ~jobs "BENCH_engine.json";
-    if !profile_inputs <> [] then write_profile_json ~quick "BENCH_profile.json";
-    if !server_rows <> [] then write_server_json ~quick ~jobs "BENCH_server.json"
+    List.iter (fun name -> run_artefact (name, List.assoc name (artefacts ~quick))) names);
+  write_bench_json ~quick ~jobs "BENCH_engine.json";
+  if !profile_inputs <> [] then write_profile_json ~quick ~jobs "BENCH_profile.json";
+  if !server_rows <> [] then write_server_json ~quick ~jobs "BENCH_server.json"

@@ -134,7 +134,7 @@ let cmd_run name level set_scope traditional speculate mem_latency rob fsb mem_m
     build_config ~traditional ~speculate ~mem_latency ~rob ~fsb ~mem_model ~no_spin_ff
   in
   let sampling = parse_sampling sample in
-  let config = Config.with_sampling sampling config in
+  let config = Config.v ~base:config ~sampling () in
   let checkpoint =
     match checkpoint_every with
     | None -> None
@@ -230,15 +230,12 @@ let cmd_profile name level set_scope traditional speculate no_fence mem_latency 
   let config =
     build_config ~traditional ~speculate ~mem_latency ~rob ~fsb ~mem_model ~no_spin_ff
   in
-  let config = if no_fence then Config.with_nop_fences true config else config in
-  let config =
-    match max_cycles with Some n -> Config.with_max_cycles n config | None -> config
-  in
+  let config = Config.v ~base:config ~nop_fences:no_fence ?max_cycles () in
   let input = E.Profiling.profile config w in
   let text =
     match profile_format with
     | `Text -> Obs.Profile.text input
-    | `Json -> Obs.Profile.json input ^ "\n"
+    | `Json -> Json.render (Obs.Profile.to_json input) ^ "\n"
   in
   (match output with
   | None -> print_string text
@@ -258,15 +255,13 @@ let cmd_advise name level set_scope mem_latency rob fsb mem_model no_spin_ff job
     build_config ~traditional:false ~speculate:false ~mem_latency ~rob ~fsb ~mem_model
       ~no_spin_ff
   in
-  let config =
-    match max_cycles with Some n -> Config.with_max_cycles n config | None -> config
-  in
+  let config = Config.v ~base:config ?max_cycles () in
   let t_input, s_input = E.Profiling.advise_inputs config w in
   let advice = Obs.Advisor.analyze ~scoped:s_input t_input in
   let text =
     match advise_format with
     | `Text -> Obs.Advisor.text advice
-    | `Json -> Obs.Advisor.json advice ^ "\n"
+    | `Json -> Json.render (Obs.Advisor.to_json advice) ^ "\n"
   in
   (match output with
   | None -> print_string text
@@ -377,9 +372,7 @@ let cmd_checkpoint_resume name level set_scope traditional speculate mem_latency
   let config =
     build_config ~traditional ~speculate ~mem_latency ~rob ~fsb ~mem_model ~no_spin_ff
   in
-  let config =
-    match max_cycles with Some n -> Config.with_max_cycles n config | None -> config
-  in
+  let config = Config.v ~base:config ?max_cycles () in
   let ck = Checkpoint.load ~file:from in
   let result = Machine.run ~resume:ck config w.W.Workload.program in
   Printf.eprintf "resumed from %s at cycle %d\n" from ck.Checkpoint.cycle;

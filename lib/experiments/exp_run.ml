@@ -25,7 +25,7 @@ let s_plus c = Config.v ~base:c ~sfence:true ~speculation:true ()
 let nf_config c = Config.v ~base:c ~sfence:false ~nop_fences:true ()
 
 let sampled_config ?(sampling = Config.sampling_default) c =
-  Config.with_sampling (Some sampling) c
+  Config.v ~base:c ~sampling:(Some sampling) ()
 
 let measure (config : Config.t) workload =
   let result =

@@ -21,6 +21,7 @@
 module Config = Fscope_machine.Config
 module Machine = Fscope_machine.Machine
 module Table = Fscope_util.Table
+module Json = Fscope_util.Json
 module Obs = Fscope_obs
 module W = Fscope_workloads
 
@@ -397,9 +398,7 @@ let sampled_sampling ~quick =
    only exists sampled; a detailed 256-core run is what the estimator
    is for. *)
 let sampled_points ~quick =
-  let s =
-    Config.with_sampling (Some (sampled_sampling ~quick)) (Exp_run.s_config Config.default)
-  in
+  let s = Config.v ~sfence:true ~sampling:(Some (sampled_sampling ~quick)) () in
   let point threads per =
     {
       pt_workload = Printf.sprintf "server-mpmc-%d" threads;
@@ -462,44 +461,56 @@ let gains rows =
         |> Option.map (fun b -> (r.sv_workload, r.sv_config, r.sv_rpk /. b.sv_rpk)))
     rows
 
-let json ~quick ~jobs rows =
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\n";
-  add "  \"schema\": \"fence-scoping/bench-server/v5\",\n";
-  add "  \"quick\": %b,\n" quick;
-  add "  \"jobs\": %d,\n" jobs;
-  add "  \"rows\": [";
-  List.iteri
-    (fun i r ->
-      add
-        "%s\n    {\"workload\": %S, \"config\": %S, \"sim_cycles\": %d, \
-         \"requests\": %d, \"requests_per_kcycle\": %.4f, \"fence_share_pct\": %.2f, \
-         \"stall_episodes\": %d, \"stall_cycles\": %d, \"stall_mean\": %.2f, \
-         \"stall_p50\": %d, \"stall_p90\": %d, \"stall_p99\": %d, \"stall_max\": %d, \
-         \"latency_samples\": %d, \"latency_p50\": %d, \"latency_p90\": %d, \
-         \"latency_p99\": %d, \"latency_max\": %d, \"sampled\": %b, \
-         \"latency_sampled\": %b%s}"
-        (if i = 0 then "" else ",")
-        r.sv_workload r.sv_config r.sv_cycles r.sv_requests r.sv_rpk r.sv_fence_share
-        r.sv_stall_episodes r.sv_stall_cycles r.sv_stall_mean r.sv_stall_p50
-        r.sv_stall_p90 r.sv_stall_p99 r.sv_stall_max r.sv_lat_samples r.sv_lat_p50
-        r.sv_lat_p90 r.sv_lat_p99 r.sv_lat_max r.sv_sampled r.sv_lat_sampled
-        (match r.sv_gauge with
-        | None -> ""
-        | Some g ->
-          Printf.sprintf
-            ", \"gauge\": {\"name\": %S, \"samples\": %d, \"p50\": %d, \"p90\": %d, \
-             \"p99\": %d, \"max\": %d}"
-            g.gv_name g.gv_samples g.gv_p50 g.gv_p90 g.gv_p99 g.gv_max))
-    rows;
-  add "\n  ],\n";
-  add "  \"throughput_gain_over_T\": [";
-  List.iteri
-    (fun i (w, c, g) ->
-      add "%s\n    {\"workload\": %S, \"config\": %S, \"gain\": %.4f}"
-        (if i = 0 then "" else ",")
-        w c g)
-    (gains rows);
-  add "\n  ]\n}\n";
-  Buffer.contents buf
+let to_json ~quick ~jobs rows =
+  let row r =
+    let gauge =
+      match r.sv_gauge with
+      | None -> []
+      | Some g ->
+        [
+          ( "gauge",
+            Json.Obj
+              [
+                ("name", Json.Str g.gv_name);
+                ("samples", Json.Int g.gv_samples);
+                ("p50", Json.Int g.gv_p50);
+                ("p90", Json.Int g.gv_p90);
+                ("p99", Json.Int g.gv_p99);
+                ("max", Json.Int g.gv_max);
+              ] );
+        ]
+    in
+    Json.Obj
+      ([
+         ("workload", Json.Str r.sv_workload);
+         ("config", Json.Str r.sv_config);
+         ("sim_cycles", Json.Int r.sv_cycles);
+         ("requests", Json.Int r.sv_requests);
+         ("requests_per_kcycle", Json.fixed 4 r.sv_rpk);
+         ("fence_share_pct", Json.fixed 2 r.sv_fence_share);
+         ("stall_episodes", Json.Int r.sv_stall_episodes);
+         ("stall_cycles", Json.Int r.sv_stall_cycles);
+         ("stall_mean", Json.fixed 2 r.sv_stall_mean);
+         ("stall_p50", Json.Int r.sv_stall_p50);
+         ("stall_p90", Json.Int r.sv_stall_p90);
+         ("stall_p99", Json.Int r.sv_stall_p99);
+         ("stall_max", Json.Int r.sv_stall_max);
+         ("latency_samples", Json.Int r.sv_lat_samples);
+         ("latency_p50", Json.Int r.sv_lat_p50);
+         ("latency_p90", Json.Int r.sv_lat_p90);
+         ("latency_p99", Json.Int r.sv_lat_p99);
+         ("latency_max", Json.Int r.sv_lat_max);
+         ("sampled", Json.Bool r.sv_sampled);
+         ("latency_sampled", Json.Bool r.sv_lat_sampled);
+       ]
+      @ gauge)
+  in
+  let gain (w, c, g) =
+    Json.Obj
+      [ ("workload", Json.Str w); ("config", Json.Str c); ("gain", Json.fixed 4 g) ]
+  in
+  Trend.envelope ~schema:Trend.server_schema ~quick ~jobs
+    [
+      ("rows", Json.Arr (List.map row rows));
+      ("throughput_gain_over_T", Json.Arr (List.map gain (gains rows)));
+    ]

@@ -90,8 +90,9 @@ val gains : row list -> (string * string * float) list
 (** [(workload, config, throughput gain over that workload's T row)]
     for the scoped configs. *)
 
-val json : quick:bool -> jobs:int -> row list -> string
-(** The BENCH_server.json document
-    (schema ["fence-scoping/bench-server/v5"] — v4 plus a per-row
-    ["latency_sampled"] flag marking rows whose latency columns come
-    from the measured-window extraction). *)
+val to_json : quick:bool -> jobs:int -> row list -> Fscope_util.Json.t
+(** The BENCH_server.json document (schema {!Trend.server_schema}):
+    one object per row, where ["sampled"] marks interval-sampled
+    points and ["latency_sampled"] rows whose latency columns come
+    from the measured-window extraction, then the scoped configs'
+    ["throughput_gain_over_T"]. *)

@@ -9,8 +9,12 @@
    kilocycle, fence share, stall tails) gate at [threshold]; wall-clock
    metrics are advisory unless the caller supplies [wall_threshold],
    because two runners legitimately differ in speed.  Gauge summaries
-   (v3 server rows) never gate — a deeper queue is context, not a
+   (server rows) never gate — a deeper queue is context, not a
    regression by itself.
+
+   Each kind has exactly one schema generation, the one the writers
+   emit; a document of any other version is a load error, as is a
+   missing or mistyped field.
 
    Two artefacts are comparable only when their "quick" flags agree
    (both absent counts as agreement): a quick run diffed against a
@@ -47,6 +51,18 @@ let load_error file fmt =
   Printf.ksprintf (fun msg -> failwith (Printf.sprintf "%s: %s" file msg)) fmt
 
 (* ------------------------------------------------------------------ *)
+(* The current schema generations, shared by the writers and [load]  *)
+
+let engine_schema = "fence-scoping/bench-engine/v4"
+let profile_schema = "fence-scoping/bench-profile/v2"
+let server_schema = "fence-scoping/bench-server/v5"
+
+let envelope ~schema ~quick ~jobs body =
+  Json.Obj
+    (("schema", Json.Str schema) :: ("quick", Json.Bool quick) :: ("jobs", Json.Int jobs)
+   :: body)
+
+(* ------------------------------------------------------------------ *)
 (* Schema loaders                                                      *)
 
 let num ~file ~ctx j key =
@@ -61,7 +77,11 @@ let str ~file ~ctx j key =
   | Some v -> v
   | None -> load_error file "%s: missing string field %S" ctx key
 
-let arr j key = Option.value ~default:[] (Option.bind (Json.member key j) Json.to_list)
+let arr ~file j key =
+  match Json.member key j with
+  | Some (Json.Arr items) -> items
+  | Some _ -> load_error file "field %S is not an array" key
+  | None -> load_error file "missing array field %S" key
 
 let quick_flag j = Option.bind (Json.member "quick" j) Json.to_bool
 
@@ -73,7 +93,7 @@ let load_engine ~file j =
     List.map
       (fun a ->
         let name = str ~file ~ctx:"artefacts[]" a "name" in
-        (* A self-skipped artefact (v3 "skipped" marker, e.g.
+        (* A self-skipped artefact ("skipped" marker, e.g.
            jobs-scaling on a 1-CPU host) records near-zero seconds that
            no later run can "regress" against — its wall-clock is
            context, never a gate. *)
@@ -89,7 +109,7 @@ let load_engine ~file j =
                 ~dir:Lower_better "seconds"
                 (num ~file ~ctx:name a "seconds") ];
         })
-      (arr j "artefacts")
+      (arr ~file j "artefacts")
   in
   let sampled_points =
     match Json.member "sampled_sim" j with
@@ -131,7 +151,7 @@ let load_engine ~file j =
                 (num ~file ~ctx r "speedup");
             ];
         })
-      (arr j "engine_vs_naive")
+      (arr ~file j "engine_vs_naive")
   in
   let totals =
     match num_opt j "engine_total_seconds" with
@@ -146,9 +166,8 @@ let load_engine ~file j =
   in
   artefact_points @ sampled_points @ engine_points @ totals
 
-(* One profile object is Obs.Profile.json output: the fence share is
-   recomputed here from the CPI leaves so older artefacts (which never
-   stored a share) still produce the metric. *)
+(* One profile object is Obs.Profile.to_json output, which stores no
+   fence share: it is recomputed here from the CPI leaves. *)
 let load_profile ~file j =
   List.map
     (fun p ->
@@ -160,9 +179,12 @@ let load_profile ~file j =
         | Some (Json.Obj fields) ->
           List.fold_left
             (fun acc (k, v) ->
-              if String.length k >= 6 && String.sub k 0 6 = "fence_" then
-                acc +. Option.value ~default:0.0 (Json.to_float v)
-              else acc)
+              match Json.to_float v with
+              | None ->
+                load_error file "profile %s/%s: non-numeric cpi leaf %S" label config k
+              | Some x ->
+                let fence = String.length k >= 6 && String.sub k 0 6 = "fence_" in
+                if fence then acc +. x else acc)
             0.0 fields
         | _ -> load_error file "profile %s/%s: missing cpi object" label config
       in
@@ -176,7 +198,7 @@ let load_profile ~file j =
               (if active <= 0.0 then 0.0 else 100.0 *. fence /. active);
           ];
       })
-    (arr j "profiles")
+    (arr ~file j "profiles")
 
 let load_server ~file j =
   List.map
@@ -200,12 +222,11 @@ let load_server ~file j =
             [ "p50"; "p99"; "max" ]
         | _ -> []
       in
-      (* A row with no latency samples (a workload without markers, or
-         a pre-v5 sampled row whose columns were zero placeholders)
-         carries zeros there — later generations filling them in must
-         not read as a regression from 0. *)
+      (* A row with no latency samples (a workload without markers)
+         carries zeros there — a later run filling them in must not
+         read as a regression from 0. *)
       let lat_gate =
-        if Option.value ~default:0.0 (num_opt r "latency_samples") > 0.0 then
+        if num ~file ~ctx r "latency_samples" > 0.0 then
           Gate_always
         else Gate_never
       in
@@ -224,14 +245,20 @@ let load_server ~file j =
           ]
           @ gauges;
       })
-    (arr j "rows")
+    (arr ~file j "rows")
 
 let known_schemas =
   [
-    ("fence-scoping/bench-engine/", load_engine);
-    ("fence-scoping/bench-profile/", load_profile);
-    ("fence-scoping/bench-server/", load_server);
+    (engine_schema, load_engine);
+    (profile_schema, load_profile);
+    (server_schema, load_server);
   ]
+
+(* "fence-scoping/bench-server/v5" -> "fence-scoping/bench-server/" *)
+let family schema =
+  match String.rindex_opt schema '/' with
+  | Some i -> String.sub schema 0 (i + 1)
+  | None -> schema
 
 let load ~file j =
   let schema =
@@ -240,15 +267,17 @@ let load ~file j =
     | None -> load_error file "no \"schema\" field — not a BENCH artefact"
   in
   let loader =
-    match
-      List.find_opt
-        (fun (prefix, _) ->
-          String.length schema >= String.length prefix
-          && String.sub schema 0 (String.length prefix) = prefix)
-        known_schemas
-    with
-    | Some (_, l) -> l
-    | None -> load_error file "unknown schema %S" schema
+    match List.assoc_opt schema known_schemas with
+    | Some l -> l
+    | None -> (
+      let same_family (known, _) = family known = family schema in
+      match List.find_opt same_family known_schemas with
+      | Some (expected, _) ->
+        load_error file "unsupported schema %S (expected %S; regenerate the artefact)"
+          schema expected
+      | None ->
+        load_error file "unknown schema %S (expected one of %s)" schema
+          (String.concat ", " (List.map fst known_schemas)))
   in
   { a_file = file; a_schema = schema; a_quick = quick_flag j; a_points = loader ~file j }
 

@@ -1,7 +1,7 @@
 (** Bench-trajectory differ over the BENCH_* artefact family.
 
-    Loads any schema generation of BENCH_engine / BENCH_profile /
-    BENCH_server JSON into one uniform shape — points keyed
+    Loads the current schema generation of BENCH_engine /
+    BENCH_profile / BENCH_server JSON into one uniform shape — points keyed
     ["server/<workload>/<config>"]-style, each carrying named metrics
     with a better-direction and a gate class — then diffs two
     artefacts point by point.  Deterministic metrics (simulated
@@ -40,10 +40,30 @@ type artefact = {
   a_points : point list;
 }
 
+val engine_schema : string
+(** ["fence-scoping/bench-engine/v4"], BENCH_engine.json. *)
+
+val profile_schema : string
+(** ["fence-scoping/bench-profile/v2"], BENCH_profile.json. *)
+
+val server_schema : string
+(** ["fence-scoping/bench-server/v5"], BENCH_server.json. *)
+
+val envelope :
+  schema:string ->
+  quick:bool ->
+  jobs:int ->
+  (string * Fscope_util.Json.t) list ->
+  Fscope_util.Json.t
+(** A BENCH document: the ["schema"], ["quick"] and ["jobs"] header
+    fields followed by [body]'s fields. *)
+
 val load : file:string -> Fscope_util.Json.t -> artefact
 (** Interpret a parsed artefact; [file] labels error messages and the
-    rendered table.  Raises [Failure] on an unknown schema or a
-    missing field. *)
+    rendered table.  Raises [Failure] on a schema other than the three
+    above (naming the expected version when only the version differs),
+    on a missing or non-array point list, and on a missing or
+    non-numeric metric field. *)
 
 val load_file : string -> artefact
 

@@ -30,13 +30,6 @@ type t = {
   sampling : sampling option;
 }
 
-let make ?(exec = Fscope_cpu.Exec_config.default)
-    ?(mem = Fscope_mem.Hierarchy.default_config) ?(mem_model = Hierarchy)
-    ?(scope = Fscope_core.Scope_unit.default_config) ?(max_cycles = 30_000_000) ?sampling
-    () =
-  Option.iter sampling_validate sampling;
-  { exec; mem; mem_model; scope; max_cycles; sampling }
-
 let mem_model_name = function Hierarchy -> "hierarchy" | Ideal -> "ideal"
 
 let mem_model_of_string = function
@@ -44,14 +37,22 @@ let mem_model_of_string = function
   | "ideal" -> Some Ideal
   | _ -> None
 
-let default = make ()
+let default =
+  {
+    exec = Fscope_cpu.Exec_config.default;
+    mem = Fscope_mem.Hierarchy.default_config;
+    mem_model = Hierarchy;
+    scope = Fscope_core.Scope_unit.default_config;
+    max_cycles = 30_000_000;
+    sampling = None;
+  }
 
-(* The one keyword constructor every builder below is a special case
-   of: start from [base] (the Table III machine when omitted) and
-   override exactly the named knobs.  An omitted argument leaves the
-   base's value untouched, so refinements compose:
-   [v ~base:(v ~sfence:false ()) ~mem_latency:500 ()].  [shard_domains]
-   is accepted only as 1 and stored nowhere (see the interface). *)
+(* The one keyword constructor: start from [base] (the Table III
+   machine when omitted) and override exactly the named knobs.  An
+   omitted argument leaves the base's value untouched, so refinements
+   compose: [v ~base:(v ~sfence:false ()) ~mem_latency:500 ()].
+   [shard_domains] is accepted only as 1 and stored nowhere (see the
+   interface). *)
 let v ?(base = default) ?sfence ?speculation ?nop_fences ?spin_fastforward ?mem_model
     ?mem_latency ?rob_size ?fsb_entries ?fss_entries ?mt_entries ?max_cycles
     ?(shard_domains = 1) ?sampling () =
@@ -83,14 +84,3 @@ let v ?(base = default) ?sfence ?speculation ?nop_fences ?spin_fastforward ?mem_
 
 let traditional t = v ~base:t ~sfence:false ()
 let scoped t = v ~base:t ~sfence:true ()
-let with_speculation on t = v ~base:t ~speculation:on ()
-let with_nop_fences on t = v ~base:t ~nop_fences:on ()
-let with_mem_latency latency t = v ~base:t ~mem_latency:latency ()
-let with_rob_size size t = v ~base:t ~rob_size:size ()
-let with_fsb_entries n t = v ~base:t ~fsb_entries:n ()
-let with_fss_entries n t = v ~base:t ~fss_entries:n ()
-let with_mt_entries n t = v ~base:t ~mt_entries:n ()
-let with_max_cycles n t = v ~base:t ~max_cycles:n ()
-let with_mem_model m t = v ~base:t ~mem_model:m ()
-let with_spin_fastforward on t = v ~base:t ~spin_fastforward:on ()
-let with_sampling s t = v ~base:t ~sampling:s ()

@@ -99,6 +99,18 @@ let restore_checkpoint (ck : Checkpoint.t) (config : Config.t) program ~cores ~m
     failwith "checkpoint: memory size mismatch";
   if Array.length ck.Checkpoint.wake <> n then
     failwith "checkpoint: wake array size mismatch";
+  (* Every capture is taken at a cycle boundary with no core scheduled
+     in the past, so a negative clock or a wake-up before it can only
+     come from an edited or corrupted file. *)
+  if ck.Checkpoint.cycle < 0 then
+    failwith (Printf.sprintf "checkpoint: negative cycle %d" ck.Checkpoint.cycle);
+  Array.iteri
+    (fun i w ->
+      if w < ck.Checkpoint.cycle then
+        failwith
+          (Printf.sprintf "checkpoint: core %d wakes at cycle %d, before cycle %d" i w
+             ck.Checkpoint.cycle))
+    ck.Checkpoint.wake;
   Array.iteri (fun i j -> Core.restore cores.(i) j) ck.Checkpoint.cores;
   Array.blit ck.Checkpoint.mem 0 mem 0 (Array.length mem);
   Hierarchy.restore hierarchy ck.Checkpoint.hierarchy;

@@ -247,38 +247,38 @@ let text t =
       advice);
   Buffer.contents b
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = Fscope_util.Json
 
-let json t =
-  let b = Buffer.create 2048 in
-  let p fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  p "{\"schema\":\"fence-scoping/advice/v1\"";
-  p ",\"label\":\"%s\",\"config\":\"%s\",\"cores\":%d,\"cycles\":%d" (escape t.label)
-    (escape t.config) t.cores t.cycles;
-  p ",\"modeled_residuals\":%b" t.modeled_residuals;
-  p ",\"total_unscoped\":%d,\"total_recovery\":%.2f,\"predicted_speedup\":%.4f"
-    t.total_unscoped t.total_recovery t.predicted_speedup;
-  p ",\"advice\":[%s]"
-    (String.concat ","
-       (List.mapi
-          (fun i a ->
-            Printf.sprintf
-              "{\"rank\":%d,\"core\":%d,\"pc\":%d,\"kind\":\"%s\",\"commits\":%d,\"stalls\":%d,\"stall_cycles\":%d,\"stall_share\":%.4f,\"attributed\":%.2f,\"residual\":%.2f,\"recovery\":%.2f,\"confidence\":\"%s\"}"
-              (i + 1) a.core a.pc (escape a.kind) a.commits a.episodes a.site_stall
-              a.stall_share a.attributed a.residual a.recovery
-              (confidence_name a.confidence))
-          t.advice));
-  p "}";
-  Buffer.contents b
+let to_json t =
+  Json.Obj
+    [
+      ("schema", Json.Str "fence-scoping/advice/v1");
+      ("label", Json.Str t.label);
+      ("config", Json.Str t.config);
+      ("cores", Json.Int t.cores);
+      ("cycles", Json.Int t.cycles);
+      ("modeled_residuals", Json.Bool t.modeled_residuals);
+      ("total_unscoped", Json.Int t.total_unscoped);
+      ("total_recovery", Json.fixed 2 t.total_recovery);
+      ("predicted_speedup", Json.fixed 4 t.predicted_speedup);
+      ( "advice",
+        Json.Arr
+          (List.mapi
+             (fun i a ->
+               Json.Obj
+                 [
+                   ("rank", Json.Int (i + 1));
+                   ("core", Json.Int a.core);
+                   ("pc", Json.Int a.pc);
+                   ("kind", Json.Str a.kind);
+                   ("commits", Json.Int a.commits);
+                   ("stalls", Json.Int a.episodes);
+                   ("stall_cycles", Json.Int a.site_stall);
+                   ("stall_share", Json.fixed 4 a.stall_share);
+                   ("attributed", Json.fixed 2 a.attributed);
+                   ("residual", Json.fixed 2 a.residual);
+                   ("recovery", Json.fixed 2 a.recovery);
+                   ("confidence", Json.Str (confidence_name a.confidence));
+                 ])
+             t.advice) );
+    ]

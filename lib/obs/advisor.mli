@@ -66,6 +66,7 @@ val ordering_violations :
 val text : t -> string
 (** Ranked advice table with the prediction headline. *)
 
-val json : t -> string
-(** The same data as one JSON object
-    (schema ["fence-scoping/advice/v1"]). *)
+val to_json : t -> Fscope_util.Json.t
+(** The same data as one JSON object (schema
+    ["fence-scoping/advice/v1"]); shares and the speedup are rounded
+    to four decimals, cycle estimates to two. *)

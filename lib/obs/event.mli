@@ -60,9 +60,9 @@ val phase : t -> [ `Begin | `End | `Instant ]
 (** How the Chrome sink renders it: a duration-begin, duration-end, or
     instant event. *)
 
-val args : t -> (string * string) list
-(** Payload fields with values pre-rendered as JSON atoms (numbers,
-    [true]/[false], [null]), so sinks can splice them verbatim. *)
+val args : t -> (string * Fscope_util.Json.t) list
+(** Payload fields as JSON atoms (integers, booleans, strings, [null]),
+    in wire order. *)
 
 val instr_class_name : instr_class -> string
 val mem_outcome_name : mem_outcome -> string

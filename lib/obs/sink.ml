@@ -1,78 +1,103 @@
-let add_args buf args =
-  List.iter (fun (k, v) -> Printf.bprintf buf ",\"%s\":%s" k v) args
+module Json = Fscope_util.Json
 
 (* ------------------------------------------------------------------ *)
 (* JSONL                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let metric_line buf name (s : Metrics.snapshot) =
-  match s with
-  | Metrics.Counter_v v ->
-    Printf.bprintf buf "{\"metric\":\"%s\",\"type\":\"counter\",\"value\":%d}\n" name v
-  | Metrics.Histogram_v { count; sum; buckets } ->
-    Printf.bprintf buf
-      "{\"metric\":\"%s\",\"type\":\"histogram\",\"count\":%d,\"sum\":%d,\"buckets\":[%s]}\n"
-      name count sum
-      (String.concat ","
-         (List.map (fun (floor, n) -> Printf.sprintf "[%d,%d]" floor n) buckets))
-  | Metrics.Gauge_v { count; sum; min; max; last } ->
-    Printf.bprintf buf
-      "{\"metric\":\"%s\",\"type\":\"gauge\",\"count\":%d,\"sum\":%d,\"min\":%d,\"max\":%d,\"last\":%d}\n"
-      name count sum min max last
+let metric name (s : Metrics.snapshot) =
+  let fields =
+    match s with
+    | Metrics.Counter_v v -> [ ("type", Json.Str "counter"); ("value", Json.Int v) ]
+    | Metrics.Histogram_v { count; sum; buckets } ->
+      [
+        ("type", Json.Str "histogram");
+        ("count", Json.Int count);
+        ("sum", Json.Int sum);
+        ( "buckets",
+          Json.Arr (List.map (fun (floor, n) -> Json.of_int_list [ floor; n ]) buckets) );
+      ]
+    | Metrics.Gauge_v { count; sum; min; max; last } ->
+      [
+        ("type", Json.Str "gauge");
+        ("count", Json.Int count);
+        ("sum", Json.Int sum);
+        ("min", Json.Int min);
+        ("max", Json.Int max);
+        ("last", Json.Int last);
+      ]
+  in
+  Json.Obj (("metric", Json.Str name) :: fields)
 
 let jsonl (r : Report.t) =
-  let buf = Buffer.create 4096 in
-  Printf.bprintf buf
-    "{\"trace\":\"fscope\",\"cycles\":%d,\"cores\":%d,\"events\":%d,\"dropped\":%d,\"timed_out\":%b}\n"
-    r.cycles r.cores (Report.events_count r) r.dropped r.timed_out;
-  List.iter
-    (fun (te : Event.timed) ->
-      Printf.bprintf buf "{\"cycle\":%d,\"core\":%d,\"event\":\"%s\"" te.cycle te.core
-        (Event.name te.event);
-      add_args buf (Event.args te.event);
-      Buffer.add_string buf "}\n")
-    r.events;
-  List.iter (fun (name, s) -> metric_line buf name s) (Metrics.snapshot r.metrics);
-  Buffer.contents buf
+  let header =
+    Json.Obj
+      [
+        ("trace", Json.Str "fscope");
+        ("cycles", Json.Int r.cycles);
+        ("cores", Json.Int r.cores);
+        ("events", Json.Int (Report.events_count r));
+        ("dropped", Json.Int r.dropped);
+        ("timed_out", Json.Bool r.timed_out);
+      ]
+  in
+  let event (te : Event.timed) =
+    Json.Obj
+      (("cycle", Json.Int te.cycle)
+      :: ("core", Json.Int te.core)
+      :: ("event", Json.Str (Event.name te.event))
+      :: Event.args te.event)
+  in
+  let lines =
+    (header :: List.map event r.events)
+    @ List.map (fun (name, s) -> metric name s) (Metrics.snapshot r.metrics)
+  in
+  String.concat "" (List.map (fun v -> Json.render v ^ "\n") lines)
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace_event (JSON array format)                              *)
 (* ------------------------------------------------------------------ *)
 
-(* One "fscope" process, one thread track per simulated core. *)
+(* One "fscope" process, one thread track per simulated core.  One
+   element per line, so the document diffs line by line. *)
 let chrome (r : Report.t) =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "[\n";
-  Printf.bprintf buf
-    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{\"name\":\"fscope\"}}";
-  for core = 0 to r.cores - 1 do
-    Printf.bprintf buf
-      ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"args\":{\"name\":\"core %d\"}}"
-      core core
-  done;
-  List.iter
-    (fun (te : Event.timed) ->
-      let name, ph =
-        match Event.phase te.event with
-        | `Begin -> ("fence_stall", "B")
-        | `End -> ("fence_stall", "E")
-        | `Instant -> (Event.name te.event, "i")
-      in
-      Printf.bprintf buf ",\n{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\"%s,\"ts\":%d,\"pid\":0,\"tid\":%d,\"args\":{"
-        name
-        (Event.category te.event)
-        ph
-        (if ph = "i" then ",\"s\":\"t\"" else "")
-        te.cycle te.core;
-      (match Event.args te.event with
-      | [] -> ()
-      | (k, v) :: rest ->
-        Printf.bprintf buf "\"%s\":%s" k v;
-        List.iter (fun (k, v) -> Printf.bprintf buf ",\"%s\":%s" k v) rest);
-      Buffer.add_string buf "}}")
-    r.events;
-  Buffer.add_string buf "\n]\n";
-  Buffer.contents buf
+  let meta name tid label =
+    Json.Obj
+      [
+        ("name", Json.Str name);
+        ("ph", Json.Str "M");
+        ("pid", Json.Int 0);
+        ("tid", Json.Int tid);
+        ("args", Json.Obj [ ("name", Json.Str label) ]);
+      ]
+  in
+  let event (te : Event.timed) =
+    let name, ph =
+      match Event.phase te.event with
+      | `Begin -> ("fence_stall", "B")
+      | `End -> ("fence_stall", "E")
+      | `Instant -> (Event.name te.event, "i")
+    in
+    Json.Obj
+      ([
+         ("name", Json.Str name);
+         ("cat", Json.Str (Event.category te.event));
+         ("ph", Json.Str ph);
+       ]
+      @ (if ph = "i" then [ ("s", Json.Str "t") ] else [])
+      @ [
+          ("ts", Json.Int te.cycle);
+          ("pid", Json.Int 0);
+          ("tid", Json.Int te.core);
+          ("args", Json.Obj (Event.args te.event));
+        ])
+  in
+  let elements =
+    (meta "process_name" 0 "fscope"
+    :: List.init r.cores (fun core ->
+           meta "thread_name" core (Printf.sprintf "core %d" core)))
+    @ List.map event r.events
+  in
+  "[\n" ^ String.concat ",\n" (List.map Json.render elements) ^ "\n]\n"
 
 (* ------------------------------------------------------------------ *)
 (* Human summary                                                       *)

@@ -1,12 +1,14 @@
-(* A minimal JSON reader/writer for the bench-trajectory tooling.
+(* The repo's one JSON reader and writer.
 
-   The repo's dependency set has no JSON library, and the BENCH_*
-   artefacts the trend differ consumes are all written by our own
-   printf-style emitters, so a small recursive-descent parser over the
-   full JSON grammar is all that's needed.  Numbers keep their textual
-   class: an integer literal parses to [Int], anything with a fraction
-   or exponent to [Float] — so [render] round-trips every artefact the
-   repo emits ([parse (render v) = v]). *)
+   The dependency set has no JSON library, so this module is it: every
+   document the repo writes — BENCH_* artefacts, profiles, advice,
+   traces, checkpoints — is built as a [t] and rendered by [render] or
+   [render_pretty], and every document it reads goes through [parse].
+   All string escaping lives here.  Numbers keep their textual class:
+   an integer literal parses to [Int], anything with a fraction or
+   exponent to [Float], and floats render in their shortest
+   round-tripping form, so [parse (render v) = v] for every finite
+   value. *)
 
 type t =
   | Null
@@ -191,96 +193,116 @@ let of_file path =
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
+(* [s] as a JSON string literal.  Bytes >= 0x80 pass through, so
+   UTF-8 text stays UTF-8. *)
+let escape buf s =
+  Buffer.add_char buf '"';
   String.iter
     (fun c ->
       match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
       | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
     s;
-  Buffer.contents b
+  Buffer.add_char buf '"'
 
+(* The shortest of %.15g / %.16g / %.17g that reads back as the same
+   float, so a value rounded to a few decimals ([fixed]) prints as
+   written.  A rendering with neither '.' nor an exponent gets ".0"
+   appended — %.16g prints 1234567890123456.0 as 1234567890123456,
+   which would parse back as an [Int].  JSON has no NaN or infinity;
+   they render as null. *)
 let float_text f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.17g" f
+  if not (Float.is_finite f) then "null"
+  else
+    let shortest =
+      List.find
+        (fun s -> float_of_string s = f)
+        [ Printf.sprintf "%.15g" f; Printf.sprintf "%.16g" f; Printf.sprintf "%.17g" f ]
+    in
+    if String.exists (fun c -> c = '.' || c = 'e') shortest then shortest
+    else shortest ^ ".0"
 
-let rec render_into buf = function
+let fixed digits f = Float (float_of_string (Printf.sprintf "%.*f" digits f))
+
+(* One line; [comma] and [colon] are the separators, bare for
+   [render] and followed by a space inside [render_pretty]'s flat
+   levels. *)
+let rec render_into buf ~comma ~colon = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int n -> Buffer.add_string buf (string_of_int n)
   | Float f -> Buffer.add_string buf (float_text f)
-  | Str s ->
-    Buffer.add_char buf '"';
-    Buffer.add_string buf (escape s);
-    Buffer.add_char buf '"'
+  | Str s -> escape buf s
   | Arr items ->
     Buffer.add_char buf '[';
     List.iteri
       (fun i v ->
-        if i > 0 then Buffer.add_char buf ',';
-        render_into buf v)
+        if i > 0 then Buffer.add_string buf comma;
+        render_into buf ~comma ~colon v)
       items;
     Buffer.add_char buf ']'
   | Obj fields ->
     Buffer.add_char buf '{';
     List.iteri
       (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (escape k);
-        Buffer.add_string buf "\":";
-        render_into buf v)
+        if i > 0 then Buffer.add_string buf comma;
+        escape buf k;
+        Buffer.add_string buf colon;
+        render_into buf ~comma ~colon v)
       fields;
     Buffer.add_char buf '}'
 
 let render v =
   let buf = Buffer.create 256 in
-  render_into buf v;
+  render_into buf ~comma:"," ~colon:":" v;
   Buffer.contents buf
 
-(* Two-space-indented rendering, for artefacts meant to be read or
-   diffed by humans (plain checkpoints).  Same grammar, so [parse]
-   round-trips it identically to the compact form. *)
-let rec render_pretty_into buf ~indent v =
+(* Two-space-indented rendering, for documents meant to be read or
+   diffed by humans.  Containers nested [flat_depth] levels deep or
+   more stay on one line, so a BENCH file keeps one row per line.
+   Same grammar, so [parse] round-trips it identically to the compact
+   form. *)
+let rec render_pretty_into buf ~flat_depth ~indent v =
   let pad n = Buffer.add_string buf (String.make n ' ') in
+  let nested v =
+    render_pretty_into buf ~flat_depth:(flat_depth - 1) ~indent:(indent + 2) v
+  in
   match v with
-  | Null | Bool _ | Int _ | Float _ | Str _ -> render_into buf v
-  | Arr [] -> Buffer.add_string buf "[]"
+  | Null | Bool _ | Int _ | Float _ | Str _ | Arr [] | Obj [] ->
+    render_into buf ~comma:"," ~colon:":" v
+  | Arr _ | Obj _ when flat_depth <= 0 -> render_into buf ~comma:", " ~colon:": " v
   | Arr items ->
     Buffer.add_string buf "[\n";
     List.iteri
       (fun i v ->
         if i > 0 then Buffer.add_string buf ",\n";
         pad (indent + 2);
-        render_pretty_into buf ~indent:(indent + 2) v)
+        nested v)
       items;
     Buffer.add_char buf '\n';
     pad indent;
     Buffer.add_char buf ']'
-  | Obj [] -> Buffer.add_string buf "{}"
   | Obj fields ->
     Buffer.add_string buf "{\n";
     List.iteri
       (fun i (k, v) ->
         if i > 0 then Buffer.add_string buf ",\n";
         pad (indent + 2);
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (escape k);
-        Buffer.add_string buf "\": ";
-        render_pretty_into buf ~indent:(indent + 2) v)
+        escape buf k;
+        Buffer.add_string buf ": ";
+        nested v)
       fields;
     Buffer.add_char buf '\n';
     pad indent;
     Buffer.add_char buf '}'
 
-let render_pretty v =
+let render_pretty ?(flat_depth = max_int) v =
   let buf = Buffer.create 256 in
-  render_pretty_into buf ~indent:0 v;
+  render_pretty_into buf ~flat_depth ~indent:0 v;
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
@@ -290,10 +312,8 @@ let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
 
-let to_list = function Arr items -> Some items | _ -> None
 let to_string = function Str s -> Some s | _ -> None
 let to_bool = function Bool b -> Some b | _ -> None
-let to_int = function Int n -> Some n | _ -> None
 
 let to_float = function
   | Int n -> Some (float_of_int n)

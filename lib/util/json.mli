@@ -1,11 +1,14 @@
-(** A minimal JSON reader/writer.
+(** The repo's one JSON reader and writer.
 
+    Every document the repo writes is built as a {!t} and rendered by
+    {!render} or {!render_pretty}; all string escaping lives here.
     Covers the full JSON grammar with one deliberate refinement:
     numbers keep their textual class, so an integer literal parses to
     {!Int} and anything with a fraction or exponent to {!Float}.
-    Because of that, [parse (render v) = v] holds structurally for
-    every value this module produces — the property the trend differ's
-    artefact round-trip tests rely on. *)
+    Floats render in their shortest round-tripping form, so
+    [parse (render v) = v] holds structurally for every value whose
+    floats are finite — the property the trend differ's artefact
+    round-trip tests rely on. *)
 
 type t =
   | Null
@@ -27,20 +30,29 @@ val of_file : string -> t
 (** [parse] the entire contents of a file. *)
 
 val render : t -> string
-(** Compact (single-line) rendering. *)
+(** Compact (single-line) rendering.  A float prints as the shortest
+    of [%.15g] / [%.16g] / [%.17g] that reads back as the same value,
+    with [.0] appended when that text would otherwise read as an
+    integer; NaN and infinities render as [null]. *)
 
-val render_pretty : t -> string
-(** Two-space-indented multi-line rendering, for artefacts meant to be
-    read or diffed by humans (plain checkpoints).  Same grammar as
-    {!render}: [parse] round-trips both identically. *)
+val render_pretty : ?flat_depth:int -> t -> string
+(** Two-space-indented multi-line rendering, for documents meant to be
+    read or diffed by humans (plain checkpoints, BENCH files).
+    Containers nested [flat_depth] or more levels below the root
+    (default: none) stay on one line, with a space after each [,] and
+    [:].  Same grammar as {!render}: [parse] round-trips both
+    identically. *)
+
+val fixed : int -> float -> t
+(** [fixed n x] is [x] rounded to [n] decimals exactly as [%.nf]
+    prints it, as a {!Float}: it renders as those decimals with
+    trailing zeros dropped. *)
 
 val member : string -> t -> t option
 (** Field of an object; [None] on a missing key or a non-object. *)
 
-val to_list : t -> t list option
 val to_string : t -> string option
 val to_bool : t -> bool option
-val to_int : t -> int option
 
 val to_float : t -> float option
 (** Numeric value as a float; accepts both {!Int} and {!Float}. *)

@@ -94,7 +94,8 @@ let test_determinism_across_jobs () =
       E.Profiling.advise_inputs base_config (quick "dekker" ~attempts:10)
     in
     E.Exp_run.set_jobs saved;
-    Obs.Advisor.json (Obs.Advisor.analyze ~scoped:s_input t_input)
+    Fscope_util.Json.render
+      (Obs.Advisor.to_json (Obs.Advisor.analyze ~scoped:s_input t_input))
   in
   Alcotest.(check string) "advice identical at --jobs 4" (advise ~jobs:1) (advise ~jobs:4)
 
@@ -123,8 +124,28 @@ let test_analyze_requires_metrics () =
     (Failure "advisor: needs a traced profile (no metrics registry)")
     (fun () -> ignore (Obs.Advisor.analyze untraced))
 
+(* Labels reach the JSON renderers verbatim from the command line, so
+   a control character, a quote, a backslash or a non-ASCII byte must
+   come out as valid JSON that parses back to the same label. *)
+let test_labels_escape () =
+  let module Json = Fscope_util.Json in
+  let label = "dek\x01ker \"q\" back\\slash caf\xc3\xa9\n" in
+  let w = quick "dekker" ~attempts:10 in
+  let input = { (E.Profiling.profile base_config w) with Obs.Profile.label } in
+  List.iter
+    (fun (what, doc) ->
+      let parsed = Json.parse (Json.render doc) in
+      Alcotest.(check (option string))
+        (what ^ " label round-trips") (Some label)
+        (Option.bind (Json.member "label" parsed) Json.to_string))
+    [
+      ("profile", Obs.Profile.to_json input);
+      ("advice", Obs.Advisor.to_json (Obs.Advisor.analyze input));
+    ]
+
 let tests =
   [
+    Alcotest.test_case "labels escape into valid JSON" `Quick test_labels_escape;
     Alcotest.test_case "paper speedup table shape" `Quick test_paper_speedups_shape;
     Alcotest.test_case "ordering-violations rule" `Quick test_ordering_violations_rule;
     Alcotest.test_case "analyze requires metrics" `Quick test_analyze_requires_metrics;

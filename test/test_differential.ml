@@ -236,11 +236,11 @@ let configs =
   [
     ("scoped", Config.scoped Config.default);
     ("traditional", Config.traditional Config.default);
-    ("scoped+spec", Config.with_speculation true (Config.scoped Config.default));
-    ("small-rob", Config.with_rob_size 16 (Config.scoped Config.default));
+    ("scoped+spec", Config.v ~sfence:true ~speculation:true ());
+    ("small-rob", Config.v ~sfence:true ~rob_size:16 ());
     (* the ideal 1-cycle memory backend must preserve functional
        behaviour (only timing changes) and engine/reference identity *)
-    ("ideal-mem", Config.with_mem_model Config.Ideal (Config.scoped Config.default));
+    ("ideal-mem", Config.v ~sfence:true ~mem_model:Config.Ideal ());
   ]
 
 let check_seed seed =
@@ -374,7 +374,7 @@ let prop_engine_matches_reference =
       let program, _info = Compile.compile program_ast in
       let label, config = List.nth configs cfg_i in
       let config =
-        match max_c with None -> config | Some n -> Config.with_max_cycles n config
+        Config.v ~base:config ?max_cycles:max_c ()
       in
       let engine = Machine.run config program in
       let reference = Machine.run_reference config program in
@@ -489,10 +489,10 @@ let prop_spin_ff_identity =
       let program = handshake_program (Rng.create seed) in
       let label, config = List.nth configs cfg_i in
       let config =
-        match max_c with None -> config | Some n -> Config.with_max_cycles n config
+        Config.v ~base:config ?max_cycles:max_c ()
       in
       let ff_on = Machine.run config program in
-      let ff_off = Machine.run (Config.with_spin_fastforward false config) program in
+      let ff_off = Machine.run (Config.v ~base:config ~spin_fastforward:false ()) program in
       let reference = Machine.run_reference config program in
       if strip_spin ff_on <> strip_spin reference then
         QCheck2.Test.fail_report
@@ -602,6 +602,27 @@ let test_compact_checkpoint () =
     let resumed = Machine.run ~resume:ck_compact config program in
     Alcotest.(check bool) "compact resume == uninterrupted run" true
       (strip_spin resumed = strip_spin baseline)
+
+(* Resume refuses a clock no capture can produce: a negative cycle, or
+   a core scheduled to wake before the checkpoint's cycle. *)
+let test_checkpoint_rejects_bad_clocks () =
+  let program = handshake_program (Rng.create 7) in
+  let config = Config.scoped Config.default in
+  let first = ref None in
+  let sink ck = if Option.is_none !first then first := Some ck in
+  ignore (Machine.run ~checkpoint:(200, sink) config program);
+  match !first with
+  | None -> Alcotest.fail "run finished before the first capture point"
+  | Some ck ->
+    let rejected what (ck : Checkpoint.t) =
+      match Machine.run ~resume:ck config program with
+      | exception Failure _ -> ()
+      | _ -> Alcotest.failf "resume accepted %s" what
+    in
+    rejected "a negative cycle" { ck with Checkpoint.cycle = -100 };
+    let wake = Array.copy ck.Checkpoint.wake in
+    wake.(0) <- ck.Checkpoint.cycle - 1;
+    rejected "a wake-up before the checkpoint's cycle" { ck with Checkpoint.wake }
 
 (* ------------------------------------------------------------------ *)
 (* The completion bound.  Core_exec skips its completion scans while
@@ -728,6 +749,8 @@ let tests =
     QCheck_alcotest.to_alcotest prop_checkpoint_roundtrip;
     Alcotest.test_case "compact checkpoint: >=5x smaller, identical resume" `Quick
       test_compact_checkpoint;
+    Alcotest.test_case "checkpoint resume rejects impossible clocks" `Quick
+      test_checkpoint_rejects_bad_clocks;
     Alcotest.test_case "completion bound holds every cycle (squash, restore)" `Quick
       test_completion_bound;
   ]

@@ -96,7 +96,7 @@ let test_spin_fastforward () =
   in
   let config = Config.default in
   let ff_on = Machine.run config program in
-  let ff_off = Machine.run (Config.with_spin_fastforward false config) program in
+  let ff_off = Machine.run (Config.v ~base:config ~spin_fastforward:false ()) program in
   let reference = Machine.run_reference config program in
   Alcotest.(check bool) "FF on == reference (up to spin counters)" true
     (strip ff_on = strip reference);

@@ -162,7 +162,7 @@ let test_profile_text_names_sites () =
 let test_profile_json_shape () =
   let w = small "dekker" in
   let input = E.Profiling.profile (E.Exp_run.s_config Config.default) w in
-  let json = Obs.Profile.json input in
+  let json = Fscope_util.Json.render (Obs.Profile.to_json input) in
   List.iter
     (fun needle ->
       Alcotest.(check bool) (needle ^ " present") true (contains ~needle json))
@@ -193,7 +193,7 @@ let test_profile_timing_neutral () =
    original fixed-width renderer silently overflowed its columns. *)
 let test_text_columns_survive_64_cores () =
   let w = W.Mpmc.make ~threads:64 ~per_producer:4 ~scope:`Class () in
-  let config = Config.with_max_cycles 100_000 (E.Exp_run.s_config Config.default) in
+  let config = Config.v ~sfence:true ~max_cycles:100_000 () in
   let input = E.Profiling.profile config w in
   let lines = String.split_on_char '\n' (Obs.Profile.text input) in
   (* fence-site rows: everything between the "fence sites:" header and

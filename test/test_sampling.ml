@@ -18,7 +18,7 @@ module Mpmc = Fscope_workloads.Mpmc
 (* short windows so the tiny test workload alternates modes a few
    times instead of finishing inside the first detailed window *)
 let schedule = { Config.warmup = 100; detailed = 500; ff_instrs = 1_000 }
-let sampled config = Config.with_sampling (Some schedule) config
+let sampled config = Config.v ~base:config ~sampling:(Some schedule) ()
 let mpmc () = Mpmc.make ~threads:8 ~per_producer:32 ~scope:`Class ()
 
 (* cycle-estimate error bounds, mirroring the bench gate *)
@@ -58,7 +58,7 @@ let test_sampling_off_identity () =
   let w = mpmc () in
   let a = Workload.run_validated Config.default w in
   let b =
-    Workload.run_validated (Config.with_sampling None Config.default) w
+    Workload.run_validated (Config.v ~sampling:None ()) w
   in
   Alcotest.(check int) "sampling None == default engine" a.Machine.cycles
     b.Machine.cycles;
@@ -81,9 +81,7 @@ let test_bad_schedule_rejected () =
     (Invalid_argument "Config.sampling: detailed window must be positive")
     (fun () ->
       ignore
-        (Config.with_sampling
-           (Some { Config.warmup = 0; detailed = 0; ff_instrs = 1 })
-           Config.default))
+        (Config.v ~sampling:(Some { Config.warmup = 0; detailed = 0; ff_instrs = 1 }) ()))
 
 let tests =
   [

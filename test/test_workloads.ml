@@ -79,10 +79,10 @@ let test_wsq_param_sweep () =
   List.iter
     (fun config -> ignore (W.Workload.run_validated config w))
     [
-      Config.with_rob_size 64 (Config.scoped Config.default);
-      Config.with_rob_size 256 (Config.scoped Config.default);
-      Config.with_mem_latency 100 (Config.scoped Config.default);
-      Config.with_mem_latency 500 (Config.traditional Config.default);
+      Config.v ~sfence:true ~rob_size:64 ();
+      Config.v ~sfence:true ~rob_size:256 ();
+      Config.v ~sfence:true ~mem_latency:100 ();
+      Config.v ~sfence:false ~mem_latency:500 ();
     ]
 
 let test_msn_param_sweep () =
@@ -90,9 +90,9 @@ let test_msn_param_sweep () =
   List.iter
     (fun config -> ignore (W.Workload.run_validated config w))
     [
-      Config.with_rob_size 64 (Config.scoped Config.default);
-      Config.with_mem_latency 150 (Config.scoped Config.default);
-      Config.with_fsb_entries 2 (Config.scoped Config.default);
+      Config.v ~sfence:true ~rob_size:64 ();
+      Config.v ~sfence:true ~mem_latency:150 ();
+      Config.v ~sfence:true ~fsb_entries:2 ();
     ]
 
 let test_harris_param_sweep () =
@@ -100,9 +100,9 @@ let test_harris_param_sweep () =
   List.iter
     (fun config -> ignore (W.Workload.run_validated config w))
     [
-      Config.with_rob_size 64 (Config.scoped Config.default);
-      Config.with_fsb_entries 1 (Config.scoped Config.default);
-      Config.with_mem_latency 450 (Config.scoped Config.default);
+      Config.v ~sfence:true ~rob_size:64 ();
+      Config.v ~sfence:true ~fsb_entries:1 ();
+      Config.v ~sfence:true ~mem_latency:450 ();
     ]
 
 (* Graph generator properties. *)
