@@ -173,15 +173,20 @@ let decode_mask t ~flagged =
     in
     if flagged then Fsb.union class_bits (Fsb.column (set_column t)) else class_bits
 
-let on_bits_set t mask =
-  List.iter (fun col -> t.outstanding.(col) <- t.outstanding.(col) + 1) (Fsb.columns mask)
+(* Both run on every memory operation, so they walk the mask's bits in
+   place rather than building its column list. *)
+let rec adjust t m col d =
+  if m <> 0 then begin
+    if m land 1 <> 0 then begin
+      let n = t.outstanding.(col) + d in
+      assert (n >= 0);
+      t.outstanding.(col) <- n
+    end;
+    adjust t (m lsr 1) (col + 1) d
+  end
 
-let on_bits_cleared t mask =
-  List.iter
-    (fun col ->
-      assert (t.outstanding.(col) > 0);
-      t.outstanding.(col) <- t.outstanding.(col) - 1)
-    (Fsb.columns mask)
+let on_bits_set t mask = adjust t mask 0 1
+let on_bits_cleared t mask = adjust t mask 0 (-1)
 
 let outstanding t col = t.outstanding.(col)
 

@@ -162,25 +162,21 @@ let spin_poll = Core_spin.poll
 let spin_cancel = Core_spin.cancel
 let spin_replay (t : t) ~stable ~k = Core_spin.replay t ~stable ~k
 
-(* The earliest in-flight completion strictly after [cycle] among ROB
-   seqs [s, stop), or [m]. *)
-let rec next_rob_done rob ~cycle s stop m =
-  if s >= stop then m
+(* The earliest completion strictly after [cycle] among the executing
+   entries from seq [s] on, or [m]. *)
+let rec next_rob_done rob ~cycle s m =
+  if s >= Rob.next_seq rob then m
   else
-    let e = Rob.get rob s in
-    let m =
-      match e.state with
-      | Rob.Executing when e.done_at > cycle && e.done_at < m -> e.done_at
-      | Rob.Executing | Rob.Waiting | Rob.Done -> m
-    in
-    next_rob_done rob ~cycle (s + 1) stop m
+    let d = (Rob.get rob s).done_at in
+    let m = if d > cycle && d < m then d else m in
+    next_rob_done rob ~cycle (Rob.next_executing rob (s + 1)) m
 
 let next_wake (t : t) ~cycle =
   let m =
     if t.halted then max_int
     else
       let m =
-        next_rob_done t.rob ~cycle (Rob.head_seq t.rob) (Rob.next_seq t.rob) max_int
+        next_rob_done t.rob ~cycle (Rob.next_executing t.rob (Rob.head_seq t.rob)) max_int
       in
       if (not t.fetch_stopped) && t.fetch_resume > cycle then Int.min m t.fetch_resume
       else m

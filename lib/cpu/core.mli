@@ -32,7 +32,19 @@
     CAS results become visible), [step_complete_reads] (loads sample
     memory), [step_pipeline] (commit, issue, resolve, fetch).  That
     phase split makes same-cycle cross-core interactions
-    deterministic.  Each sub-step returns whether it changed pipeline
+    deterministic.
+
+    The issue stage relies on this protocol.  For each cycle,
+    [step_complete_writes] then [step_complete_reads] run before
+    [step_pipeline], and within [step_pipeline] the resolve stage
+    finishes every other due execution before issue.  So at issue
+    time no [Executing] entry has [done_at <= cycle]: a producer with
+    such a deadline is already [Done].  An operand whose producer is
+    not [Done] therefore cannot become ready before the producer's
+    [Rob.set_done], and issue parks the waiting consumer on it until
+    then (see {!Rob}'s slot index).  Driving a core out of this order
+    could leave a consumer parked past the cycle its operand became
+    ready.  Each sub-step returns whether it changed pipeline
     state beyond per-cycle stall accounting; the {!Fscope_machine}
     engine uses that, together with {!next_wake} and
     {!account_stall_span}, to fast-forward over spans in which no core

@@ -36,10 +36,14 @@ let state_to_json (e : Rob.entry) =
   | Rob.Executing -> Json.Arr [ Json.Int 1; Json.Int e.done_at ]
   | Rob.Done -> Json.Arr [ Json.Int 2 ]
 
-let state_of_json rob (e : Rob.entry) j =
+(* The entry is not in the ROB yet: [Rob.restore] indexes it from the
+   fields set here. *)
+let state_of_json (e : Rob.entry) j =
   match Json.list_exn j with
   | [ Json.Int 0 ] -> e.state <- Rob.Waiting
-  | [ Json.Int 1; d ] -> Rob.set_exec rob e ~done_at:(Json.int_exn d)
+  | [ Json.Int 1; d ] ->
+    e.state <- Rob.Executing;
+    e.done_at <- Json.int_exn d
   | [ Json.Int 2 ] -> e.state <- Rob.Done
   | _ -> failwith "checkpoint: malformed exec state"
 
@@ -106,7 +110,7 @@ let entry_of_json (t : t) j =
     (fun i p -> srcs.(i) <- { (srcs.(i)) with Rob.producer = producer_of_int p })
     producers;
   let e = Rob.make_entry ~seq:(Json.int_exn (Json.get "seq" j)) ~pc ~instr ~srcs in
-  state_of_json t.rob e (Json.get "state" j);
+  state_of_json e (Json.get "state" j);
   e.result <- Json.int_exn (Json.get "result" j);
   e.addr <- Json.int_exn (Json.get "addr" j);
   e.data <- Json.int_exn (Json.get "data" j);

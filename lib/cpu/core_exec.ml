@@ -10,9 +10,8 @@ module Instr = Fscope_isa.Instr
 module Scope_unit = Fscope_core.Scope_unit
 open Core_state
 
-(* The completion phases and [finalize] skip their ROB walk while
-   [cycle < Rob.due_lo]: no entry can be due before then (see the
-   bound's contract in Rob). *)
+(* The completion phases and [finalize] walk only the ROB's executing
+   entries, oldest first (see Rob's slot index). *)
 
 let rec apply_drains t = function
   | [] -> ()
@@ -26,46 +25,49 @@ let step_complete_writes t ~cycle =
   apply_drains t drained;
   let progress = ref (match drained with [] -> false | _ :: _ -> true) in
   let rob = t.rob in
-  if cycle >= Rob.due_lo rob then
-    for s = Rob.head_seq rob to Rob.next_seq rob - 1 do
-      let e = Rob.get rob s in
-      match (e.instr, e.state) with
-      | Instr.Cas _, Rob.Executing when e.done_at <= cycle ->
-        (* The RMW performs atomically at its completion point. *)
-        progress := true;
-        let old = read_mem t e.addr in
-        let success = old = e.data2 in
-        if success && in_bounds t e.addr then
-          Mem_port.store t.port ~addr:e.addr ~value:e.data;
-        e.result <- (if success then 1 else 0);
-        e.state <- Rob.Done;
-        Scope_unit.on_bits_cleared t.scope e.scope_mask;
-        (match t.obs with
-        | Some o ->
-          Fscope_obs.Trace.emit o.trace ~core:t.id
-            (Fscope_obs.Event.Cas_result { addr = e.addr; success })
-        | None -> ())
-      | _, (Rob.Waiting | Rob.Executing | Rob.Done) -> ()
-    done;
+  let tail = Rob.next_seq rob in
+  let s = ref (Rob.next_executing rob (Rob.head_seq rob)) in
+  while !s < tail do
+    let e = Rob.get rob !s in
+    (match e.instr with
+    | Instr.Cas _ when e.done_at <= cycle ->
+      (* The RMW performs atomically at its completion point. *)
+      progress := true;
+      let old = read_mem t e.addr in
+      let success = old = e.data2 in
+      if success && in_bounds t e.addr then Mem_port.store t.port ~addr:e.addr ~value:e.data;
+      e.result <- (if success then 1 else 0);
+      Rob.set_done rob e;
+      Scope_unit.on_bits_cleared t.scope e.scope_mask;
+      (match t.obs with
+      | Some o ->
+        Fscope_obs.Trace.emit o.trace ~core:t.id
+          (Fscope_obs.Event.Cas_result { addr = e.addr; success })
+      | None -> ())
+    | _ -> ());
+    s := Rob.next_executing rob (!s + 1)
+  done;
   !progress
 
 let step_complete_reads t ~cycle =
   let progress = ref false in
   let rob = t.rob in
-  if cycle >= Rob.due_lo rob then
-    for s = Rob.head_seq rob to Rob.next_seq rob - 1 do
-      let e = Rob.get rob s in
-      match (e.instr, e.state) with
-      | Instr.Load _, Rob.Executing when e.done_at <= cycle ->
-        (* data2 = 1 marks a forwarded load whose value was captured at
-           issue; otherwise the value is sampled from memory now, at
-           the access's completion point. *)
-        progress := true;
-        if e.data2 = 0 then e.result <- read_mem t e.addr;
-        e.state <- Rob.Done;
-        Scope_unit.on_bits_cleared t.scope e.scope_mask
-      | _, (Rob.Waiting | Rob.Executing | Rob.Done) -> ()
-    done;
+  let tail = Rob.next_seq rob in
+  let s = ref (Rob.next_executing rob (Rob.head_seq rob)) in
+  while !s < tail do
+    let e = Rob.get rob !s in
+    (match e.instr with
+    | Instr.Load _ when e.done_at <= cycle ->
+      (* data2 = 1 marks a forwarded load whose value was captured at
+         issue; otherwise the value is sampled from memory now, at
+         the access's completion point. *)
+      progress := true;
+      if e.data2 = 0 then e.result <- read_mem t e.addr;
+      Rob.set_done rob e;
+      Scope_unit.on_bits_cleared t.scope e.scope_mask
+    | _ -> ());
+    s := Rob.next_executing rob (!s + 1)
+  done;
   !progress
 
 (* ------------------------------------------------------------------ *)
@@ -105,36 +107,25 @@ let resolve_branch t (e : Rob.entry) ~cycle =
   else squash t e ~actual_target:target ~cycle
 
 (* Convert due executions to Done and resolve branches, oldest first
-   (a misprediction squashes the younger ones before they resolve).
-   The same walk recomputes [Rob.due_lo] exactly: the minimum
-   [done_at] over the entries still executing afterwards, including
-   the loads and CAS the completion phases own. *)
+   (a misprediction squashes the younger ones before they resolve, and
+   the walk then stops at the new tail).  Loads and CAS are left to the
+   completion phases. *)
 let finalize t ~cycle =
   let rob = t.rob in
-  if cycle < Rob.due_lo rob then false
-  else begin
-    let progress = ref false in
-    let lo = ref max_int in
-    let s = ref (Rob.head_seq rob) in
-    (* a squash shrinks the window under the walk, which then stops *)
-    while Rob.contains rob !s do
-      let e = Rob.get rob !s in
-      incr s;
-      match e.state with
-      | Rob.Executing -> (
-        let d = e.done_at in
-        match e.instr with
-        | Instr.Load _ | Instr.Cas _ -> if d < !lo then lo := d
-        | _ when d > cycle -> if d < !lo then lo := d
-        | Instr.Branch _ ->
-          progress := true;
-          e.state <- Rob.Done;
-          resolve_branch t e ~cycle
-        | _ ->
-          progress := true;
-          e.state <- Rob.Done)
-      | Rob.Waiting | Rob.Done -> ()
-    done;
-    Rob.set_due_lo_after_scan rob !lo;
-    !progress
-  end
+  let progress = ref false in
+  let s = ref (Rob.next_executing rob (Rob.head_seq rob)) in
+  while !s < Rob.next_seq rob do
+    let e = Rob.get rob !s in
+    (match e.instr with
+    | Instr.Load _ | Instr.Cas _ -> ()
+    | _ when e.done_at > cycle -> ()
+    | Instr.Branch _ ->
+      progress := true;
+      Rob.set_done rob e;
+      resolve_branch t e ~cycle
+    | _ ->
+      progress := true;
+      Rob.set_done rob e);
+    s := Rob.next_executing rob (!s + 1)
+  done;
+  !progress

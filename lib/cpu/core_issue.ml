@@ -7,9 +7,9 @@
    so it must count as progress for the fast-forwarding engine.
 
    This stage runs every cycle over a nearly full ROB, so it allocates
-   nothing: operands are read in place ([src_ready] / [src_get]) and
-   every ordering check is a top-level recursive scan over seqs, with
-   no closure. *)
+   nothing and visits only the entries that can change: operands are
+   read in place ([src_ready] / [src_get]), and every ordering check
+   is a top-level recursive scan over seqs, with no closure. *)
 
 module Instr = Fscope_isa.Instr
 module Fsb = Fscope_core.Fsb
@@ -52,13 +52,14 @@ let fence_issue_ok t (e : Rob.entry) k =
     && ((not wait_stores) || not (Store_buffer.mask_overlaps t.sb m))
 
 (* Load disambiguation is conservative: any older store/CAS with an
-   unknown address blocks the load.  The issue pass tracks that case
-   itself, so this scan runs only when every older store/CAS address is
-   known.  One backward pass over the entries older than the load (seqs
-   [s] down to [head]): an older same-address load still in flight
-   blocks it (same-address load-load order is coherence); otherwise the
-   youngest older same-address writer decides.  It must have completed,
-   and it is returned by seq.  The pass stops at the first blocker; past
+   unknown address blocks the load.  The issue pass checks that case
+   against the ROB's unknown-address writers first, so this scan runs
+   only when every older store/CAS address is known.  One backward pass
+   over the entries older than the load (seqs [s] down to [head]): an
+   older same-address load still in flight blocks it (same-address
+   load-load order is coherence); otherwise the youngest older
+   same-address writer decides.  It must have completed, and it is
+   returned by seq.  The pass stops at the first blocker; past
    a completed writer it only looks for blockers. *)
 let must_wait = -2
 let no_writer = -1
@@ -148,6 +149,11 @@ let cas_issue_ok t (e : Rob.entry) =
   (not (cas_blocked t ~addr:e.addr (Rob.head_seq t.rob) e.seq))
   && not (Store_buffer.has_addr t.sb ~addr:e.addr)
 
+(* The pass visits only entries that are not done and not parked (see
+   Rob's slot index); a waiting entry it finds blocked on an unfinished
+   producer is parked on it, and skipped until that producer is done.
+   Visiting a parked entry would change nothing, so the pass is the
+   full-window walk with its no-op visits left out. *)
 let issue t ~cycle =
   let rob = t.rob in
   let progress = ref false in
@@ -155,26 +161,26 @@ let issue t ~cycle =
   (* In the non-speculative pipeline, an unissued fence whose flavour
      has [block_loads] blocks the issue of every younger load; any
      unissued fence blocks younger CAS and keeps younger fences from
-     issuing (fences issue oldest-first). *)
+     issuing (fences issue oldest-first).  Unissued fences are never
+     done and never parked, so the pass sees every one of them. *)
   let pending_fence = ref false in
   let pending_blocking_fence = ref false in
-  (* Has the pass gone by a store/CAS whose address is still unknown?
-     Then every younger load and CAS must wait.  Entries the pass has
-     gone by do not change again within it, so the flag is exact. *)
-  let unknown_writer = ref false in
-  let s = ref (Rob.head_seq rob) in
+  (* The oldest store/CAS whose address is still unknown: every younger
+     load and CAS must wait.  It changes within the pass only when the
+     pass computes its address. *)
+  let unknown_writer = ref (Rob.next_unknown_writer rob (Rob.head_seq rob)) in
   let tail = Rob.next_seq rob in
   (* Issue never removes entries, so the window is fixed for the pass;
      it ends early once the issue slots are spent. *)
+  let s = ref (Rob.next_issuable rob (Rob.head_seq rob)) in
   while !s < tail && !budget > 0 do
     let e = Rob.get rob !s in
-    incr s;
     (match (e.instr, e.state) with
     | Instr.Fence k, _ when not e.fence_issued ->
       if (not t.cfg.in_window_speculation) && (not !pending_fence) && fence_issue_ok t e k
       then begin
         e.fence_issued <- true;
-        e.state <- Rob.Done;
+        Rob.set_done rob e;
         progress := true;
         decr budget
       end
@@ -203,6 +209,7 @@ let issue t ~cycle =
         progress := true;
         decr budget
       end
+      else park_on_unready t cycle e 0
     | Instr.Branch { cond; _ }, Rob.Waiting ->
       if src_ready t cycle e.srcs.(0) then begin
         let v = src_get t e.srcs.(0) in
@@ -212,29 +219,36 @@ let issue t ~cycle =
         progress := true;
         decr budget
       end
+      else park_on t e e.srcs.(0)
     | Instr.Store { off; _ }, Rob.Waiting ->
       (* Address generation does not wait for the data: younger
          loads disambiguate against the address as soon as the
          base register is ready. *)
-      if e.addr < 0 && src_ready t cycle e.srcs.(1) then begin
-        e.addr <- src_get t e.srcs.(1) + off;
-        progress := true
-      end;
-      if e.addr >= 0 && src_ready t cycle e.srcs.(0) then begin
-        e.data <- src_get t e.srcs.(0);
-        Rob.set_exec rob e ~done_at:(cycle + 1);
-        progress := true;
-        decr budget
-      end
+      if e.addr < 0 then
+        if src_ready t cycle e.srcs.(1) then begin
+          Rob.set_addr rob e (src_get t e.srcs.(1) + off);
+          progress := true
+        end
+        else park_on t e e.srcs.(1);
+      if e.addr >= 0 then
+        if src_ready t cycle e.srcs.(0) then begin
+          e.data <- src_get t e.srcs.(0);
+          Rob.set_exec rob e ~done_at:(cycle + 1);
+          progress := true;
+          decr budget
+        end
+        else park_on t e e.srcs.(0)
     | Instr.Load { off; _ }, Rob.Waiting ->
       (* Address generation is free as soon as the base is ready;
          the issue slot is only spent on the actual access. *)
-      if e.addr < 0 && src_ready t cycle e.srcs.(0) then begin
-        e.addr <- src_get t e.srcs.(0) + off;
-        progress := true
-      end;
+      if e.addr < 0 then
+        if src_ready t cycle e.srcs.(0) then begin
+          Rob.set_addr rob e (src_get t e.srcs.(0) + off);
+          progress := true
+        end
+        else park_on t e e.srcs.(0);
       if e.addr >= 0
-         && (not !unknown_writer)
+         && !unknown_writer >= e.seq
          && ((not !pending_blocking_fence) || t.cfg.in_window_speculation)
          && try_issue_load t e ~cycle
       then begin
@@ -242,14 +256,16 @@ let issue t ~cycle =
         decr budget
       end
     | Instr.Cas { off; _ }, Rob.Waiting ->
-      if e.addr < 0 && srcs_ready t cycle e then begin
-        e.addr <- src_get t e.srcs.(0) + off;
-        e.data2 <- src_get t e.srcs.(1);
-        e.data <- src_get t e.srcs.(2);
-        progress := true
-      end;
+      if e.addr < 0 then
+        if srcs_ready t cycle e then begin
+          Rob.set_addr rob e (src_get t e.srcs.(0) + off);
+          e.data2 <- src_get t e.srcs.(1);
+          e.data <- src_get t e.srcs.(2);
+          progress := true
+        end
+        else park_on_unready t cycle e 0;
       if e.addr >= 0
-         && (not !unknown_writer)
+         && !unknown_writer >= e.seq
          && (not !pending_fence) (* CAS never passes a fence speculatively *)
          && cas_issue_ok t e
       then begin
@@ -270,8 +286,8 @@ let issue t ~cycle =
         _ )
     | _, (Rob.Executing | Rob.Done) ->
       ());
-    match e.instr with
-    | (Instr.Store _ | Instr.Cas _) when e.addr < 0 -> unknown_writer := true
-    | _ -> ()
+    if !s = !unknown_writer && e.addr >= 0 then
+      unknown_writer := Rob.next_unknown_writer rob (!s + 1);
+    s := Rob.next_issuable rob (!s + 1)
   done;
   !progress

@@ -253,8 +253,8 @@ let replay t ~(stable : stable) ~k =
     let shift = k * stable.period in
     counts_add t.counts stable.d_counts ~k;
     List.iteri (fun i leaf -> Cpi.charge_n t.cpi leaf ~times:(k * stable.d_cpi.(i))) Cpi.leaves;
-    (* shifting every deadline forward keeps [Rob.due_lo] a valid
-       lower bound *)
+    (* the executing set and the parked consumers stay valid: only
+       deadlines move *)
     Rob.iter t.rob (fun e ->
         match e.state with
         | Rob.Executing -> e.done_at <- e.done_at + shift

@@ -207,6 +207,21 @@ let rec srcs_ready_from t cycle (e : Rob.entry) i =
 
 let srcs_ready t cycle e = srcs_ready_from t cycle e 0
 
+(* Park a waiting entry on the producer of a source [src_ready] just
+   found not ready.  Such a producer is in flight and not [Done]: at
+   issue time every [Executing] entry is due after the cycle, so it
+   can only become ready through [Rob.set_done], which releases the
+   entry. *)
+let park_on t (e : Rob.entry) (s : Rob.src) =
+  match s.producer with
+  | Rob.Rob p -> Rob.park t.rob e ~on:p
+  | Rob.Arch -> assert false
+
+let rec park_on_unready t cycle (e : Rob.entry) i =
+  if i < Array.length e.srcs then
+    if src_ready t cycle e.srcs.(i) then park_on_unready t cycle e (i + 1)
+    else park_on t e e.srcs.(i)
+
 let eval_alu op a b =
   match op with
   | Instr.Add -> a + b

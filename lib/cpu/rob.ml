@@ -53,20 +53,24 @@ let make_entry ~seq ~pc ~instr ~srcs =
     checkpoint = None;
   }
 
+module Bitset = Fscope_util.Bitset
+
 (* [slots] is a ring indexed from [head_slot] (= [head_seq mod size],
    kept incrementally so lookups never divide); free slots hold
-   [vacant]. *)
+   [vacant].  The bitsets are the slot index described in the
+   interface: each holds in-flight slots only, and [waiters.(p)] holds
+   the consumer slots parked on the producer in slot [p]. *)
 type t = {
   size : int;
   slots : entry array;
   mutable head_seq : int;
   mutable head_slot : int;
   mutable tail_seq : int;
-  (* A lower bound on [done_at] over every [Executing] entry (see the
-     interface).  [set_exec] lowers it as entries start executing;
-     removing or finishing an entry can only raise the true minimum, so
-     those paths leave it alone. *)
-  mutable due_lo : int;
+  not_done : Bitset.t;
+  executing : Bitset.t;
+  parked : Bitset.t;
+  unknown_writers : Bitset.t;
+  waiters : Bitset.t array;
   trace : Fscope_obs.Trace.t;
   core : int;
 }
@@ -75,13 +79,18 @@ let vacant = make_entry ~seq:(-1) ~pc:(-1) ~instr:Fscope_isa.Instr.Nop ~srcs:[||
 
 let create ?(trace = Fscope_obs.Trace.null) ?(core = 0) ~size () =
   if size <= 0 then invalid_arg "Rob.create: size must be positive";
+  let set () = Bitset.create ~bits:size in
   {
     size;
     slots = Array.make size vacant;
     head_seq = 0;
     head_slot = 0;
     tail_seq = 0;
-    due_lo = max_int;
+    not_done = set ();
+    executing = set ();
+    parked = set ();
+    unknown_writers = set ();
+    waiters = Array.init size (fun _ -> set ());
     trace;
     core;
   }
@@ -111,10 +120,32 @@ let is_full t = count t >= t.size
 let is_empty t = count t = 0
 let next_seq t = t.tail_seq
 
+let unknown_writer (e : entry) =
+  match e.instr with
+  | Fscope_isa.Instr.Store _ | Fscope_isa.Instr.Cas _ -> e.addr < 0
+  | _ -> false
+
+(* Place [e] in slot [i] and index it from its own state (nothing is
+   parked on arrival). *)
+let place t i e =
+  t.slots.(i) <- e;
+  if e.state <> Done then Bitset.add t.not_done i;
+  if e.state = Executing then Bitset.add t.executing i;
+  if unknown_writer e then Bitset.add t.unknown_writers i
+
+(* Empty slot [i] and drop it from every set. *)
+let vacate t i =
+  t.slots.(i) <- vacant;
+  Bitset.remove t.not_done i;
+  Bitset.remove t.executing i;
+  Bitset.remove t.parked i;
+  Bitset.remove t.unknown_writers i;
+  Bitset.clear t.waiters.(i)
+
 let dispatch t entry =
   if is_full t then invalid_arg "Rob.dispatch: full";
   if entry.seq <> t.tail_seq then invalid_arg "Rob.dispatch: wrong seq";
-  t.slots.(slot t entry.seq) <- entry;
+  place t (slot t entry.seq) entry;
   t.tail_seq <- t.tail_seq + 1;
   if Fscope_obs.Trace.on t.trace then
     Fscope_obs.Trace.emit t.trace ~core:t.core
@@ -131,7 +162,7 @@ let head t = if is_empty t then None else Some (get t t.head_seq)
 let pop_head t =
   if is_empty t then invalid_arg "Rob.pop_head: empty";
   let e = t.slots.(t.head_slot) in
-  t.slots.(t.head_slot) <- vacant;
+  vacate t t.head_slot;
   t.head_seq <- t.head_seq + 1;
   t.head_slot <- (if t.head_slot + 1 = t.size then 0 else t.head_slot + 1);
   if Fscope_obs.Trace.on t.trace then
@@ -139,11 +170,25 @@ let pop_head t =
       (Fscope_obs.Event.Rob_commit { pc = e.pc; cls = instr_class e.instr });
   e
 
+(* A squashed consumer may be parked on a producer that survives the
+   squash: take it off that producer's waiters so a later occupant of
+   its slot is not released by it. *)
+let unlink_parked t i (e : entry) ~survivors =
+  if Bitset.mem t.parked i then
+    for k = 0 to Array.length e.srcs - 1 do
+      match e.srcs.(k).producer with
+      | Rob p when p >= t.head_seq && p <= survivors -> Bitset.remove t.waiters.(slot t p) i
+      | Rob _ | Arch -> ()
+    done
+
 let squash_after t seq =
   let removed = ref [] in
   for s = t.tail_seq - 1 downto max (seq + 1) t.head_seq do
-    removed := get t s :: !removed;
-    t.slots.(slot t s) <- vacant
+    let i = slot t s in
+    let e = t.slots.(i) in
+    removed := e :: !removed;
+    unlink_parked t i e ~survivors:seq;
+    vacate t i
   done;
   if seq + 1 < t.tail_seq then t.tail_seq <- max (seq + 1) t.head_seq;
   !removed
@@ -155,13 +200,62 @@ let iter t f =
 
 let head_seq t = t.head_seq
 
+(* ------------------------------------------------------------------ *)
+(* Index updates *)
+
 let set_exec t e ~done_at =
   e.state <- Executing;
   e.done_at <- done_at;
-  if done_at < t.due_lo then t.due_lo <- done_at
+  Bitset.add t.executing (slot t e.seq)
 
-let due_lo t = t.due_lo
-let set_due_lo_after_scan t d = t.due_lo <- d
+let set_done t e =
+  let i = slot t e.seq in
+  e.state <- Done;
+  Bitset.remove t.not_done i;
+  Bitset.remove t.executing i;
+  let w = t.waiters.(i) in
+  Bitset.diff_into t.parked w;
+  Bitset.clear w
+
+let set_addr t e addr =
+  e.addr <- addr;
+  if addr >= 0 then Bitset.remove t.unknown_writers (slot t e.seq)
+
+let park t e ~on =
+  if not (contains t on) then invalid_arg "Rob.park: producer not in flight";
+  let i = slot t e.seq in
+  Bitset.add t.parked i;
+  Bitset.add t.waiters.(slot t on) i
+
+(* ------------------------------------------------------------------ *)
+(* Queries: the first in-flight seq >= [s] whose slot is in [set]
+   (and, for the issue walk, not parked), or [tail_seq].  Slots
+   [head_slot, size) hold the older part of a wrapped ring and
+   [0, head_slot) the younger, so a scan starting in the older part
+   continues from slot 0, and a hit at or past [head_slot] after that
+   (or from a start in the younger part) is older than [s]. *)
+let find t set ~issuable i =
+  if issuable then Bitset.next_diff set t.parked i else Bitset.next set i
+
+let next_in t set ~issuable s =
+  let s = if s < t.head_seq then t.head_seq else s in
+  if s >= t.tail_seq then t.tail_seq
+  else
+    let i = slot t s in
+    let j = find t set ~issuable i in
+    if i >= t.head_slot then
+      if j >= 0 then s + (j - i)
+      else
+        let j = find t set ~issuable 0 in
+        if j >= 0 && j < t.head_slot then s + (t.size - i) + j else t.tail_seq
+    else if j >= 0 && j < t.head_slot then s + (j - i)
+    else t.tail_seq
+
+let next_not_done t s = next_in t t.not_done ~issuable:false s
+let next_issuable t s = next_in t t.not_done ~issuable:true s
+let next_executing t s = next_in t t.executing ~issuable:false s
+let next_parked t s = next_in t t.parked ~issuable:false s
+let next_unknown_writer t s = next_in t t.unknown_writers ~issuable:false s
 
 (* Checkpoint restore: overwrite the whole window.  Entries must be
    consecutive by seq starting at [head_seq] (the caller rebuilt them
@@ -169,14 +263,15 @@ let set_due_lo_after_scan t d = t.due_lo <- d
    untraced-run facility. *)
 let restore t ~head_seq entries =
   if List.length entries > t.size then invalid_arg "Rob.restore: too many entries";
-  Array.fill t.slots 0 t.size vacant;
-  t.due_lo <- min_int;
+  for i = 0 to t.size - 1 do
+    vacate t i
+  done;
   t.head_seq <- head_seq;
   t.head_slot <- head_seq mod t.size;
   t.tail_seq <- head_seq;
   List.iter
     (fun e ->
       if e.seq <> t.tail_seq then invalid_arg "Rob.restore: non-consecutive seq";
-      t.slots.(slot t e.seq) <- e;
+      place t (slot t e.seq) e;
       t.tail_seq <- t.tail_seq + 1)
     entries

@@ -1,14 +1,35 @@
 (** The reorder buffer.
 
-    A circular buffer of in-flight instructions indexed by a global
-    sequence number ([seq]); slot = [seq mod size].  Instructions
-    dispatch at the tail, execute out of order, and commit in order
-    from the head.  A branch misprediction squashes every entry
-    younger than the branch.
+    A ring of in-flight instructions, each carrying a global sequence
+    number ([seq]).  Instructions dispatch at the tail, execute out of
+    order, and commit in order from the head.  A branch misprediction
+    squashes every entry younger than the branch.
 
     Each entry carries the paper's per-entry fence scope bits
     ([scope_mask]) and, for fences, the wait condition captured from
-    the {!Fscope_core.Scope_unit} at dispatch. *)
+    the {!Fscope_core.Scope_unit} at dispatch.
+
+    {2 The slot index}
+
+    The pipeline stages do not rescan the window.  The ROB keeps
+    per-slot bitsets ({!Fscope_util.Bitset}) over the in-flight
+    entries, with these invariants after every operation below:
+    - {b not-done} holds exactly the entries whose [state] is not
+      [Done];
+    - {b executing} holds exactly the [Executing] entries;
+    - {b unknown-address writers} holds exactly the stores and CAS
+      whose [addr] is negative;
+    - {b parked} holds only [Waiting] entries that read an operand
+      whose producer is in flight and not [Done] (set by {!park}).  It
+      is a hint, not a definition: a waiting entry outside it is
+      simply visited and parked again.  Each producer slot also keeps
+      the consumer slots parked on it, and {!set_done} releases them.
+
+    The index changes only in {!dispatch}, {!set_exec}, {!set_done},
+    {!set_addr}, {!park}, {!pop_head}, {!squash_after} and {!restore}, so
+    every change of [state] after dispatch, and every address an issue
+    stage computes, goes through them.  {!restore} derives the first
+    three sets from the entries and starts with nothing parked. *)
 
 type producer =
   | Arch  (** value lives in the architectural register file *)
@@ -35,10 +56,12 @@ type entry = {
   mutable state : exec_state;
   mutable done_at : int;
       (** completion cycle while [Executing]; meaningless otherwise.  Mark
-          entries executing through {!set_exec}, which keeps the
-          completion bound below valid. *)
+          entries executing through {!set_exec} and done through
+          {!set_done}, which keep the slot index valid. *)
   mutable result : int;  (** dst value: load data, ALU result, CAS success bit *)
-  mutable addr : int;  (** memory address once computed; -1 = unknown *)
+  mutable addr : int;
+      (** memory address once computed; negative = unknown.  Set it on an
+          in-flight entry through {!set_addr}. *)
   mutable data : int;  (** store data / CAS desired value *)
   mutable data2 : int;  (** CAS expected value *)
   mutable scope_mask : Fscope_core.Fsb.mask;
@@ -97,28 +120,43 @@ val iter : t -> (entry -> unit) -> unit
 val head_seq : t -> int
 (** The seq of the oldest in-flight entry (= the next to commit). *)
 
-(** {2 Completion bound}
-
-    [due_lo] is a lower bound on [done_at] over every [Executing]
-    entry ([max_int] when nothing can be pending).  A completion scan
-    at [cycle < due_lo t] would find nothing due, so the pipeline
-    stages skip it.  A bound that is too low only costs a scan. *)
+(** {2 Index updates} *)
 
 val set_exec : t -> entry -> done_at:int -> unit
-(** Mark an entry [Executing] until [done_at], lowering [due_lo] to
-    cover it.  This is the only way an entry becomes [Executing]: every
-    issue path and the checkpoint decoder go through here. *)
+(** Mark an in-flight entry [Executing] until [done_at].  Every issue
+    path goes through here. *)
 
-val due_lo : t -> int
+val set_done : t -> entry -> unit
+(** Mark an in-flight entry [Done], and release every consumer parked
+    on it. *)
 
-val set_due_lo_after_scan : t -> int -> unit
-(** Only for [Core_exec.finalize], which walks the whole window and
-    passes the exact minimum [done_at] over the entries still
-    [Executing] after its walk ([max_int] if none).  A higher value
-    would skip a due completion. *)
+val set_addr : t -> entry -> int -> unit
+(** Record an in-flight entry's computed address.  A store or CAS
+    leaves the unknown-address writers once the address is [>= 0]. *)
+
+val park : t -> entry -> on:int -> unit
+(** [park t e ~on] parks the [Waiting] entry [e] until the entry with
+    seq [on], the producer of one of [e]'s sources, becomes [Done]
+    (a squash that removes [e] finds the producer through [e.srcs]).
+    The caller must know that producer is not [Done]; raises
+    [Invalid_argument] if it is not in flight. *)
+
+(** {2 Index queries}
+
+    Each returns the first in-flight seq [>= s] in the named set, in
+    seq order through the wrapped ring, or {!next_seq} when there is
+    none.  They allocate nothing. *)
+
+val next_not_done : t -> int -> int
+val next_issuable : t -> int -> int
+(** Not done and not parked: the entries the issue stage visits. *)
+
+val next_executing : t -> int -> int
+val next_parked : t -> int -> int
+val next_unknown_writer : t -> int -> int
 
 val restore : t -> head_seq:int -> entry list -> unit
 (** Checkpoint restore: replace the whole window with [entries], which
     must carry consecutive seqs starting at [head_seq] (oldest first).
-    Resets [due_lo] to [min_int], so the next completion scans run and
-    recompute it.  Emits no events. *)
+    Rebuilds the index from the entries' states and addresses, with
+    nothing parked.  Emits no events. *)

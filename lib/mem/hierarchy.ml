@@ -34,6 +34,8 @@ type l1_state =
   | Shared
   | Modified
 
+module Bitset = Fscope_util.Bitset
+
 type dir_entry = {
   sharers : Bitset.t; (* set of cores holding the line *)
   mutable owner : int; (* core holding the line Modified, or -1 *)

@@ -4,7 +4,7 @@
    module replaced), which is where an off-by-one in the word/bit
    split would bite. *)
 
-module Bitset = Fscope_mem.Bitset
+module Bitset = Fscope_util.Bitset
 module Rng = Fscope_util.Rng
 
 let boundary_capacities = [ 62; 63; 64; 65 ]
@@ -118,6 +118,44 @@ let test_retain_only_and_singleton () =
   Alcotest.(check (list int)) "singleton at word boundary" [ 63 ] (Bitset.members one);
   Alcotest.(check bool) "capacity covers requested bits" true (Bitset.capacity one >= 64)
 
+(* next / next_diff / diff_into / clear against the naive model, from
+   every start index, over random members at sizes that end inside,
+   at and past a word boundary *)
+let test_next_vs_naive () =
+  let rng = Rng.create 7 in
+  List.iter
+    (fun bits ->
+      let random_set () =
+        let s = Bitset.create ~bits in
+        for i = 0 to bits - 1 do
+          if Rng.int rng 3 = 0 then Bitset.add s i
+        done;
+        s
+      in
+      let a = random_set () and b = random_set () in
+      let first p i =
+        let rec go j = if j >= bits then -1 else if p j then j else go (j + 1) in
+        go (max i 0)
+      in
+      for i = -1 to bits + 1 do
+        Alcotest.(check int)
+          (Printf.sprintf "next %d/%d" i bits)
+          (first (Bitset.mem a) i) (Bitset.next a i);
+        Alcotest.(check int)
+          (Printf.sprintf "next_diff %d/%d" i bits)
+          (first (fun j -> Bitset.mem a j && not (Bitset.mem b j)) i)
+          (Bitset.next_diff a b i)
+      done;
+      let expected = List.filter (fun j -> not (Bitset.mem b j)) (Bitset.members a) in
+      Bitset.diff_into a b;
+      Alcotest.(check (list int)) "diff_into" expected (Bitset.members a);
+      Bitset.clear a;
+      Alcotest.(check int) "clear" (-1) (Bitset.next a 0))
+    [ 1; 5; 33; 62; 63; 64; 126; 128; 189 ];
+  let top = Bitset.of_members ~bits:126 [ 62; 125 ] in
+  Alcotest.(check int) "sign bit of a word" 62 (Bitset.next top 0);
+  Alcotest.(check int) "sign bit of the last word" 125 (Bitset.next top 63)
+
 let tests =
   [
     Alcotest.test_case "boundary set/clear/mem round-trip (62/63/64/65)" `Quick
@@ -128,4 +166,5 @@ let tests =
       test_fold_vs_naive;
     Alcotest.test_case "retain_only and singleton" `Quick
       test_retain_only_and_singleton;
+    Alcotest.test_case "next/next_diff/diff_into vs naive model" `Quick test_next_vs_naive;
   ]

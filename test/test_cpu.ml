@@ -43,22 +43,112 @@ let test_rob_squash () =
   Rob.dispatch rob (entry 3);
   Alcotest.(check bool) "re-dispatch ok" true (Rob.contains rob 3)
 
+(* Every seq [next] visits from the head, in the order it visits them. *)
+let walk rob next =
+  let rec go s acc = if s >= Rob.next_seq rob then List.rev acc else go (next rob (s + 1)) (s :: acc) in
+  go (next rob (Rob.head_seq rob)) []
+
+let store_entry seq =
+  Rob.make_entry ~seq ~pc:seq
+    ~instr:(Instr.Store { src = Reg.zero; base = Reg.zero; off = 0; flagged = false })
+    ~srcs:[||]
+
+(* The slot index through a wrapped ring: fill the ROB, commit just
+   over half of it, refill so the tail wraps past slot 0, then give
+   the entries a pattern of states and check that every query visits
+   exactly the matching seqs, in seq order, from the head and from
+   mid-window.  Size 5 is one word; 64 and 128 cross word boundaries
+   (63 members per word); 33 is an odd size inside one word. *)
 let test_rob_iteration_helpers () =
+  List.iter
+    (fun size ->
+      let rob = Rob.create ~size () in
+      let fresh s = if s mod 4 = 2 then store_entry s else entry s in
+      for s = 0 to size - 1 do
+        Rob.dispatch rob (fresh s)
+      done;
+      let popped = (size / 2) + 1 in
+      for _ = 1 to popped do
+        ignore (Rob.pop_head rob)
+      done;
+      for s = size to size + popped - 1 do
+        Rob.dispatch rob (fresh s)
+      done;
+      let head = Rob.head_seq rob in
+      let seqs = List.init size (fun i -> head + i) in
+      let seen = ref [] in
+      Rob.iter rob (fun e -> seen := e.Rob.seq :: !seen);
+      Alcotest.(check (list int)) "iter oldest-first" seqs (List.rev !seen);
+      List.iter
+        (fun s ->
+          let e = Rob.get rob s in
+          match s mod 3 with
+          | 0 -> Rob.set_exec rob e ~done_at:(100 + s)
+          | 1 -> Rob.set_done rob e
+          | _ -> if s mod 8 = 2 then Rob.set_addr rob e s)
+        seqs;
+      let named what = Printf.sprintf "size %d: %s" size what in
+      let only p = List.filter p seqs in
+      let executing = only (fun s -> s mod 3 = 0) in
+      let not_done = only (fun s -> s mod 3 <> 1) in
+      Alcotest.(check (list int)) (named "executing") executing (walk rob Rob.next_executing);
+      Alcotest.(check (list int)) (named "not done") not_done (walk rob Rob.next_not_done);
+      Alcotest.(check (list int)) (named "issuable (nothing parked)") not_done
+        (walk rob Rob.next_issuable);
+      Alcotest.(check (list int)) (named "parked") [] (walk rob Rob.next_parked);
+      Alcotest.(check (list int))
+        (named "unknown-address writers")
+        (only (fun s -> s mod 4 = 2 && not (s mod 3 = 2 && s mod 8 = 2)))
+        (walk rob Rob.next_unknown_writer);
+      let mid = head + (size / 2) in
+      Alcotest.(check int)
+        (named "next executing from mid-window")
+        (match List.filter (fun s -> s >= mid) executing with
+        | s :: _ -> s
+        | [] -> Rob.next_seq rob)
+        (Rob.next_executing rob mid);
+      Alcotest.(check int)
+        (named "past the tail")
+        (Rob.next_seq rob)
+        (Rob.next_not_done rob (Rob.next_seq rob + 3));
+      Rob.restore rob ~head_seq:7 [];
+      Alcotest.(check (list int)) (named "restore empties the index") []
+        (walk rob Rob.next_not_done))
+    [ 5; 33; 64; 128 ]
+
+(* A producer finishing releases exactly the consumers parked on it,
+   and a squashed consumer is unlinked from its surviving producer, so
+   that producer cannot release the slot's next occupant (the first
+   seq 5 reads seq 2; the one dispatched after the squash reads seq 0). *)
+let test_rob_park_release () =
   let rob = Rob.create ~size:8 () in
-  for s = 0 to 4 do
-    Rob.dispatch rob (entry s)
-  done;
-  let seen = ref [] in
-  Rob.iter rob (fun e -> seen := e.Rob.seq :: !seen);
-  Alcotest.(check (list int)) "iter oldest-first" [ 0; 1; 2; 3; 4 ] (List.rev !seen);
-  Alcotest.(check int) "nothing pending" max_int (Rob.due_lo rob);
-  Rob.set_exec rob (Rob.get rob 3) ~done_at:20;
-  Rob.set_exec rob (Rob.get rob 1) ~done_at:12;
-  Rob.set_exec rob (Rob.get rob 2) ~done_at:15;
-  Alcotest.(check int) "set_exec lowers the bound" 12 (Rob.due_lo rob);
-  Alcotest.(check bool) "executing" true ((Rob.get rob 1).Rob.state = Rob.Executing);
-  Rob.restore rob ~head_seq:7 [];
-  Alcotest.(check int) "restore resets the bound" min_int (Rob.due_lo rob)
+  let reads seq producers =
+    Rob.make_entry ~seq ~pc:seq ~instr:Instr.Nop
+      ~srcs:(Array.of_list (List.map (fun p -> { Rob.producer = Rob.Rob p; reg = Reg.r 1 }) producers))
+  in
+  List.iter (Rob.dispatch rob)
+    [ entry 0; entry 1; entry 2; reads 3 [ 1 ]; reads 4 [ 1 ]; reads 5 [ 2 ] ];
+  let park s ~on = Rob.park rob (Rob.get rob s) ~on in
+  park 3 ~on:1;
+  park 4 ~on:1;
+  park 5 ~on:2;
+  Alcotest.(check (list int)) "parked" [ 3; 4; 5 ] (walk rob Rob.next_parked);
+  Alcotest.(check (list int)) "issuable" [ 0; 1; 2 ] (walk rob Rob.next_issuable);
+  Rob.set_done rob (Rob.get rob 1);
+  Alcotest.(check (list int)) "set_done releases its consumers" [ 5 ] (walk rob Rob.next_parked);
+  Alcotest.(check (list int)) "released ones are issuable" [ 0; 2; 3; 4 ]
+    (walk rob Rob.next_issuable);
+  ignore (Rob.squash_after rob 4);
+  Alcotest.(check (list int)) "squash drops the parked consumer" [] (walk rob Rob.next_parked);
+  Rob.dispatch rob (reads 5 [ 0 ]);
+  park 5 ~on:0;
+  Rob.set_done rob (Rob.get rob 2);
+  Alcotest.(check (list int)) "the squashed consumer's producer releases nothing" [ 5 ]
+    (walk rob Rob.next_parked);
+  Rob.set_done rob (Rob.get rob 0);
+  Alcotest.(check (list int)) "its own producer releases it" [] (walk rob Rob.next_parked);
+  Alcotest.check_raises "producer must be in flight"
+    (Invalid_argument "Rob.park: producer not in flight") (fun () -> park 5 ~on:9)
 
 (* ------------------------------------------------------------------ *)
 (* Memory ordering in a live core.  Each case hand-assembles a tiny
@@ -257,6 +347,7 @@ let tests =
     Alcotest.test_case "rob wrong seq" `Quick test_rob_wrong_seq;
     Alcotest.test_case "rob squash" `Quick test_rob_squash;
     Alcotest.test_case "rob iteration" `Quick test_rob_iteration_helpers;
+    Alcotest.test_case "rob set_done releases parked consumers" `Quick test_rob_park_release;
     Alcotest.test_case "load waits on unknown store address" `Quick
       test_load_waits_unknown_store_addr;
     Alcotest.test_case "load forwards from youngest store" `Quick

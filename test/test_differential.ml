@@ -238,6 +238,8 @@ let configs =
     ("traditional", Config.traditional Config.default);
     ("scoped+spec", Config.v ~sfence:true ~speculation:true ());
     ("small-rob", Config.v ~sfence:true ~rob_size:16 ());
+    (* not a multiple of the ROB index's word size *)
+    ("odd-rob", Config.v ~sfence:true ~rob_size:37 ());
     (* the ideal 1-cycle memory backend must preserve functional
        behaviour (only timing changes) and engine/reference identity *)
     ("ideal-mem", Config.v ~sfence:true ~mem_model:Config.Ideal ());
@@ -625,33 +627,68 @@ let test_checkpoint_rejects_bad_clocks () =
     rejected "a wake-up before the checkpoint's cycle" { ck with Checkpoint.wake }
 
 (* ------------------------------------------------------------------ *)
-(* The completion bound.  Core_exec skips its completion scans while
-   the cycle is below [Rob.due_lo], so the bound must never exceed a
-   pending deadline, and the scans it does run must leave no entry
-   executing past its deadline.  Checked after every cycle of a naive
-   three-phase loop over the random program families, through
-   mispredict squashes and a checkpoint restore into fresh cores. *)
+(* The ROB's slot index.  The pipeline stages walk only the index's
+   sets, so after every cycle of a naive three-phase loop over the
+   random program families, through mispredict squashes and a
+   checkpoint restore into fresh cores, the not-done, executing and
+   unknown-address-writer sets must equal a rescan of the entries;
+   every parked entry must be waiting on an operand whose producer is
+   in flight and not done; and (the step protocol parking relies on)
+   no entry may still be executing at or past its deadline. *)
 
 module Core = Fscope_cpu.Core
 module Rob = Fscope_cpu.Rob
 module Hierarchy = Fscope_mem.Hierarchy
 module Program = Fscope_isa.Program
 
-let check_completion_bound ~what core ~cycle =
+let index_walk rob next =
+  let rec go s acc =
+    if s >= Rob.next_seq rob then List.rev acc else go (next rob (s + 1)) (s :: acc)
+  in
+  go (next rob (Rob.head_seq rob)) []
+
+let rescan rob p =
+  let acc = ref [] in
+  Rob.iter rob (fun e -> if p e then acc := e.Rob.seq :: !acc);
+  List.rev !acc
+
+let check_index ~what core ~cycle =
   let rob = Core.rob core in
+  let same set expected actual =
+    if expected <> actual then
+      Alcotest.failf "%s, cycle %d: %s set [%s], rescan [%s]" what cycle set
+        (String.concat ";" (List.map string_of_int actual))
+        (String.concat ";" (List.map string_of_int expected))
+  in
+  same "not-done" (rescan rob (fun e -> e.Rob.state <> Rob.Done))
+    (index_walk rob Rob.next_not_done);
+  same "executing" (rescan rob (fun e -> e.Rob.state = Rob.Executing))
+    (index_walk rob Rob.next_executing);
+  same "unknown-address writer"
+    (rescan rob (fun e ->
+         match e.Rob.instr with
+         | Fscope_isa.Instr.Store _ | Fscope_isa.Instr.Cas _ -> e.Rob.addr < 0
+         | _ -> false))
+    (index_walk rob Rob.next_unknown_writer);
+  List.iter
+    (fun s ->
+      let e = Rob.get rob s in
+      let unfinished (src : Rob.src) =
+        match src.Rob.producer with
+        | Rob.Rob p -> Rob.contains rob p && (Rob.get rob p).Rob.state <> Rob.Done
+        | Rob.Arch -> false
+      in
+      if e.Rob.state <> Rob.Waiting || not (Array.exists unfinished e.Rob.srcs) then
+        Alcotest.failf "%s, cycle %d: seq %d parked with no unfinished producer" what cycle s)
+    (index_walk rob Rob.next_parked);
   Rob.iter rob (fun e ->
-      if e.Rob.state = Rob.Executing then begin
-        if e.Rob.done_at <= cycle then
-          Alcotest.failf "%s, cycle %d: seq %d still executing, due at %d" what cycle
-            e.Rob.seq e.Rob.done_at;
-        if Rob.due_lo rob > e.Rob.done_at then
-          Alcotest.failf "%s, cycle %d: due_lo %d above seq %d's deadline %d" what cycle
-            (Rob.due_lo rob) e.Rob.seq e.Rob.done_at
-      end)
+      if e.Rob.state = Rob.Executing && e.Rob.done_at <= cycle then
+        Alcotest.failf "%s, cycle %d: seq %d still executing, due at %d" what cycle e.Rob.seq
+          e.Rob.done_at)
 
 (* Returns the run's mispredict count and whether it reached the
    restore point, so the caller can tell both paths ran. *)
-let run_checking_bound ~what (config : Config.t) program ~restore_at =
+let run_checking_index ~what (config : Config.t) program ~restore_at =
   let n = Program.thread_count program in
   let mem = Program.initial_memory program in
   let hierarchy = Hierarchy.create ~cores:n config.Config.mem in
@@ -688,15 +725,15 @@ let run_checking_bound ~what (config : Config.t) program ~restore_at =
           let j = Json.parse (Json.render (Core.snapshot core)) in
           let c = fresh id in
           Core.restore c j;
-          if Rob.due_lo (Core.rob c) <> min_int then
-            Alcotest.failf "%s: restore left due_lo at %d" what (Rob.due_lo (Core.rob c));
+          if index_walk (Core.rob c) Rob.next_parked <> [] then
+            Alcotest.failf "%s: restore left entries parked" what;
           cores.(id) <- c)
         cores;
     let c = !cycle in
     Array.iter (fun core -> ignore (Core.step_complete_writes core ~cycle:c)) cores;
     Array.iter (fun core -> ignore (Core.step_complete_reads core ~cycle:c)) cores;
     Array.iter (fun core -> ignore (Core.step_pipeline core ~cycle:c)) cores;
-    Array.iter (check_completion_bound ~what ~cycle:c) cores;
+    Array.iter (check_index ~what ~cycle:c) cores;
     incr cycle
   done;
   let reference = Machine.run_reference config program in
@@ -706,13 +743,13 @@ let run_checking_bound ~what (config : Config.t) program ~restore_at =
   ( Array.fold_left (fun acc core -> acc + (Core.stats core).Core.mispredicts) 0 cores,
     !cycle > restore_at )
 
-let test_completion_bound () =
+let test_rob_index () =
   let mispredicts = ref 0 and restores = ref 0 in
   let check ~what config program =
     List.iter
       (fun restore_at ->
         let m, restored =
-          run_checking_bound
+          run_checking_index
             ~what:(Printf.sprintf "%s, restore at %d" what restore_at)
             config program ~restore_at
         in
@@ -751,6 +788,6 @@ let tests =
       test_compact_checkpoint;
     Alcotest.test_case "checkpoint resume rejects impossible clocks" `Quick
       test_checkpoint_rejects_bad_clocks;
-    Alcotest.test_case "completion bound holds every cycle (squash, restore)" `Quick
-      test_completion_bound;
+    Alcotest.test_case "rob index consistent every cycle (squash, restore)" `Quick
+      test_rob_index;
   ]
