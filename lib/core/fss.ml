@@ -17,12 +17,7 @@ let push t col =
   t.slots.(t.depth) <- col;
   t.depth <- t.depth + 1
 
-let pop t =
-  if t.depth = 0 then None
-  else begin
-    t.depth <- t.depth - 1;
-    Some t.slots.(t.depth)
-  end
+let drop t = if t.depth > 0 then t.depth <- t.depth - 1
 
 let top t = if t.depth = 0 then None else Some t.slots.(t.depth - 1)
 

@@ -18,8 +18,8 @@ val depth : t -> int
 val push : t -> int -> unit
 (** Push a column index.  Raises [Invalid_argument] when full. *)
 
-val pop : t -> int option
-(** Pop the top column; [None] when empty. *)
+val drop : t -> unit
+(** Pop the top column; a no-op when empty. *)
 
 val top : t -> int option
 

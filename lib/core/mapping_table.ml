@@ -9,7 +9,12 @@ let create ~entries ~class_columns =
   if class_columns < 0 then invalid_arg "Mapping_table.create: negative class_columns";
   { entries; class_columns; map = [] }
 
-let lookup t ~cid = List.assoc_opt cid t.map
+let rec column_in map cid =
+  match map with
+  | [] -> -1
+  | (c, col) :: rest -> if c = cid then col else column_in rest cid
+
+let lookup t ~cid = column_in t.map cid
 
 let column_mapped t col = List.exists (fun (_, c) -> c = col) t.map
 
@@ -26,8 +31,7 @@ let free_column t ~column_busy =
 
 let lookup_or_allocate t ~cid ~column_busy =
   match lookup t ~cid with
-  | Some col -> Some col
-  | None ->
+  | -1 ->
     if t.class_columns = 0 then None
     else begin
       if List.length t.map >= t.entries then gc t ~column_busy;
@@ -42,6 +46,7 @@ let lookup_or_allocate t ~cid ~column_busy =
         Some col
       end
     end
+  | col -> Some col
 
 let cid_of_column t ~column =
   List.find_map (fun (cid, col) -> if col = column then Some cid else None) t.map

@@ -18,8 +18,9 @@ val create : entries:int -> class_columns:int -> t
     scopes (the set-scope column is not managed here).  Both must be
     non-negative and [entries >= 1]. *)
 
-val lookup : t -> cid:int -> int option
-(** The column currently mapped to [cid], if any. *)
+val lookup : t -> cid:int -> int
+(** The column currently mapped to [cid], or [-1].  Allocates
+    nothing: it runs at every [fs_start]. *)
 
 val lookup_or_allocate : t -> cid:int -> column_busy:(int -> bool) -> int option
 (** Resolve [cid] to a column, allocating if needed:

@@ -14,24 +14,37 @@ type state = {
   mutable counter : int;
 }
 
-type scope_op =
-  | Push of int option (* Some column | None: counter-mode push *)
+type kind =
+  | Branch (* [arg] = branch id *)
+  | Push (* [arg] = FSB column *)
+  | Push_counter (* counter-mode push: no column *)
   | Pop
 
-type event =
-  | Ev_branch of { id : int; mutable resolved : bool }
-  | Ev_op of scope_op
+(* One decode-order event.  The FIFO's records are allocated with the
+   ring and overwritten in place. *)
+type event = {
+  mutable kind : kind;
+  mutable arg : int;
+  mutable resolved : bool; (* branches only *)
+}
 
+(* [events] is a ring of [ev_len] events from [ev_head], oldest first.
+   Its capacity is a power of two; it doubles when full, so it settles
+   at the deepest speculation seen and then never allocates. *)
 type t = {
   config : config;
   live : state;
   confirmed : state;
   mt : Mapping_table.t;
   outstanding : int array;
-  mutable events : event list; (* decode order, oldest first *)
+  mutable events : event array;
+  mutable ev_head : int;
+  mutable ev_len : int;
   trace : Fscope_obs.Trace.t;
   core : int;
 }
+
+let fresh_event _ = { kind = Pop; arg = 0; resolved = false }
 
 let create ?(trace = Fscope_obs.Trace.null) ?(core = 0) config =
   if config.fsb_entries < 1 then invalid_arg "Scope_unit.create: need >= 1 FSB column";
@@ -44,7 +57,9 @@ let create ?(trace = Fscope_obs.Trace.null) ?(core = 0) config =
       Mapping_table.create ~entries:config.mt_entries
         ~class_columns:(config.fsb_entries - 1);
     outstanding = Array.make config.fsb_entries 0;
-    events = [];
+    events = Array.init 16 fresh_event;
+    ev_head = 0;
+    ev_len = 0;
     trace;
     core;
   }
@@ -53,102 +68,132 @@ let config t = t.config
 let enabled t = t.config.enabled
 let set_column t = t.config.fsb_entries - 1
 
-let apply st op =
-  match op with
-  | Push (Some col) ->
+(* The [k]-th buffered event, oldest first. *)
+let event t k = t.events.((t.ev_head + k) land (Array.length t.events - 1))
+
+let grow t =
+  let cap = Array.length t.events in
+  let bigger = Array.init (2 * cap) (fun k -> if k < t.ev_len then event t k else fresh_event k) in
+  t.events <- bigger;
+  t.ev_head <- 0
+
+let push_event t kind arg =
+  if t.ev_len = Array.length t.events then grow t;
+  let ev = event t t.ev_len in
+  ev.kind <- kind;
+  ev.arg <- arg;
+  ev.resolved <- false;
+  t.ev_len <- t.ev_len + 1
+
+let drop_oldest t =
+  t.ev_head <- (t.ev_head + 1) land (Array.length t.events - 1);
+  t.ev_len <- t.ev_len - 1
+
+let apply st kind col =
+  match kind with
+  | Push ->
     if st.counter > 0 || Fss.is_full st.stack then st.counter <- st.counter + 1
     else Fss.push st.stack col
-  | Push None -> st.counter <- st.counter + 1
-  | Pop ->
-    if st.counter > 0 then st.counter <- st.counter - 1
-    else ignore (Fss.pop st.stack)
+  | Push_counter -> st.counter <- st.counter + 1
+  | Pop -> if st.counter > 0 then st.counter <- st.counter - 1 else Fss.drop st.stack
+  | Branch -> ()
 
 (* Apply every event that is no longer speculative to the confirmed
    state: stop at the first unresolved branch. *)
-let drain t =
-  let rec go = function
-    | Ev_op op :: rest ->
-      apply t.confirmed op;
-      go rest
-    | Ev_branch b :: rest when b.resolved -> go rest
-    | events -> events
-  in
-  t.events <- go t.events
+let rec drain t =
+  if t.ev_len > 0 then begin
+    let ev = event t 0 in
+    match ev.kind with
+    | Branch when not ev.resolved -> ()
+    | Branch ->
+      drop_oldest t;
+      drain t
+    | Push | Push_counter | Pop ->
+      apply t.confirmed ev.kind ev.arg;
+      drop_oldest t;
+      drain t
+  end
 
-let record t op =
-  apply t.live op;
-  t.events <- t.events @ [ Ev_op op ];
+let record t kind arg =
+  apply t.live kind arg;
+  push_event t kind arg;
   drain t
 
-let fifo_pushes_contain t col =
-  List.exists
-    (function Ev_op (Push (Some c)) -> c = col | Ev_op (Push None | Pop) | Ev_branch _ -> false)
-    t.events
+(* The position of the buffered branch [id], or -1. *)
+let rec find_branch t id k =
+  if k >= t.ev_len then -1
+  else
+    let ev = event t k in
+    match ev.kind with
+    | Branch when ev.arg = id -> k
+    | Branch | Push | Push_counter | Pop -> find_branch t id (k + 1)
+
+let rec fifo_pushes_contain t col k =
+  k < t.ev_len
+  &&
+  let ev = event t k in
+  match ev.kind with
+  | Push when ev.arg = col -> true
+  | Branch | Push | Push_counter | Pop -> fifo_pushes_contain t col (k + 1)
 
 let column_busy t col =
   t.outstanding.(col) > 0
   || Fss.contains t.live.stack col
   || Fss.contains t.confirmed.stack col
-  || fifo_pushes_contain t col
+  || fifo_pushes_contain t col 0
 
-let on_branch t ~id =
-  if t.config.enabled then t.events <- t.events @ [ Ev_branch { id; resolved = false } ]
+let on_branch t ~id = if t.config.enabled then push_event t Branch id
 
 let on_branch_correct t ~id =
   if t.config.enabled then begin
-    List.iter
-      (function Ev_branch b when b.id = id -> b.resolved <- true | Ev_branch _ | Ev_op _ -> ())
-      t.events;
+    let k = find_branch t id 0 in
+    if k >= 0 then (event t k).resolved <- true;
     drain t
   end
 
 let on_branch_mispredict t ~id =
   if t.config.enabled then begin
     (* The correct-path state is: confirmed state plus every buffered
-       micro-op older than the mispredicted branch. *)
-    let rec split prefix = function
-      | Ev_branch b :: _ when b.id = id -> Some (List.rev prefix)
-      | ev :: rest -> split (ev :: prefix) rest
-      | [] -> None
-    in
-    match split [] t.events with
-    | None ->
-      (* The branch carried no scope events after it and none before:
-         it may never have been recorded (only possible if it was
-         dispatched before any scope activity and drained).  Restoring
-         to confirmed state is still correct because every older event
-         has, by definition, drained into it. *)
-      Fss.copy_from t.live.stack t.confirmed.stack;
-      t.live.counter <- t.confirmed.counter;
-      t.events <- []
-    | Some older ->
-      Fss.copy_from t.live.stack t.confirmed.stack;
-      t.live.counter <- t.confirmed.counter;
-      List.iter (function Ev_op op -> apply t.live op | Ev_branch _ -> ()) older;
-      t.events <- older
+       micro-op older than the mispredicted branch.  If the branch is
+       not buffered it drained (only possible if it was dispatched
+       before any scope activity), so every older event has, by
+       definition, drained into the confirmed state and nothing is
+       replayed. *)
+    let k = find_branch t id 0 in
+    let older = if k < 0 then 0 else k in
+    Fss.copy_from t.live.stack t.confirmed.stack;
+    t.live.counter <- t.confirmed.counter;
+    for i = 0 to older - 1 do
+      let ev = event t i in
+      apply t.live ev.kind ev.arg
+    done;
+    t.ev_len <- older
   end
 
 let on_fs_start t ~cid =
   if t.config.enabled then begin
-    let op =
-      if t.live.counter > 0 then Push None
+    (* A mapped cid (the common case) resolves without allocating. *)
+    let col =
+      if t.live.counter > 0 then -1
       else
-        match Mapping_table.lookup_or_allocate t.mt ~cid ~column_busy:(column_busy t) with
-        | Some col -> Push (Some col)
-        | None -> Push None
+        let col = Mapping_table.lookup t.mt ~cid in
+        if col >= 0 then col
+        else
+          match Mapping_table.lookup_or_allocate t.mt ~cid ~column_busy:(column_busy t) with
+          | Some col -> col
+          | None -> -1
     in
     if Fscope_obs.Trace.on t.trace then
       Fscope_obs.Trace.emit t.trace ~core:t.core
-        (Fscope_obs.Event.Scope_push
-           { column = (match op with Push col -> col | Pop -> None) });
-    record t op
+        (Fscope_obs.Event.Scope_push { column = (if col >= 0 then Some col else None) });
+    if col >= 0 then record t Push col else record t Push_counter 0
   end
 
 let on_fs_end t ~cid:_ =
   if t.config.enabled then begin
     if Fscope_obs.Trace.on t.trace then
       Fscope_obs.Trace.emit t.trace ~core:t.core Fscope_obs.Event.Scope_pop;
-    record t Pop
+    record t Pop 0
   end
 
 (* While the overflow counter is non-zero the FSS under-represents the
@@ -214,12 +259,15 @@ let confirmed_stack t = Fss.to_list t.confirmed.stack
    equal.  [None] if any scope micro-op is still buffered — the probe
    treats that as unstable. *)
 let spin_fingerprint t ~base =
-  let rec go acc = function
-    | [] -> Some (List.rev acc)
-    | Ev_branch b :: rest -> go ((base - b.id, b.resolved) :: acc) rest
-    | Ev_op _ :: _ -> None
+  let rec go acc k =
+    if k < 0 then Some acc
+    else
+      let ev = event t k in
+      match ev.kind with
+      | Branch -> go ((base - ev.arg, ev.resolved) :: acc) (k - 1)
+      | Push | Push_counter | Pop -> None
   in
-  go [] t.events
+  go [] (t.ev_len - 1)
 
 let current_cid t =
   if (not t.config.enabled) || t.live.counter > 0 then None
@@ -233,19 +281,23 @@ let current_cid t =
 
 module Json = Fscope_util.Json
 
-let event_to_json = function
-  | Ev_branch b -> Json.Arr [ Json.Str "branch"; Json.Int b.id; Json.Bool b.resolved ]
-  | Ev_op (Push (Some col)) -> Json.Arr [ Json.Str "push"; Json.Int col ]
-  | Ev_op (Push None) -> Json.Arr [ Json.Str "pushn" ]
-  | Ev_op Pop -> Json.Arr [ Json.Str "pop" ]
+let event_to_json ev =
+  match ev.kind with
+  | Branch -> Json.Arr [ Json.Str "branch"; Json.Int ev.arg; Json.Bool ev.resolved ]
+  | Push -> Json.Arr [ Json.Str "push"; Json.Int ev.arg ]
+  | Push_counter -> Json.Arr [ Json.Str "pushn" ]
+  | Pop -> Json.Arr [ Json.Str "pop" ]
 
-let event_of_json j =
+(* Append the event [j] to the FIFO. *)
+let event_of_json t j =
   match Json.list_exn j with
   | [ Json.Str "branch"; id; resolved ] ->
-    Ev_branch { id = Json.int_exn id; resolved = Json.bool_exn resolved }
-  | [ Json.Str "push"; col ] -> Ev_op (Push (Some (Json.int_exn col)))
-  | [ Json.Str "pushn" ] -> Ev_op (Push None)
-  | [ Json.Str "pop" ] -> Ev_op Pop
+    let resolved = Json.bool_exn resolved in
+    push_event t Branch (Json.int_exn id);
+    (event t (t.ev_len - 1)).resolved <- resolved
+  | [ Json.Str "push"; col ] -> push_event t Push (Json.int_exn col)
+  | [ Json.Str "pushn" ] -> push_event t Push_counter 0
+  | [ Json.Str "pop" ] -> push_event t Pop 0
   | _ -> failwith "checkpoint: malformed scope event"
 
 let state_to_json (st : state) =
@@ -270,7 +322,7 @@ let to_json t =
              (fun (cid, col) -> Json.Arr [ Json.Int cid; Json.Int col ])
              (Mapping_table.mappings t.mt)) );
       ("outstanding", Json.of_int_array t.outstanding);
-      ("events", Json.Arr (List.map event_to_json t.events));
+      ("events", Json.Arr (List.init t.ev_len (fun k -> event_to_json (event t k))));
     ]
 
 let restore t j =
@@ -287,7 +339,8 @@ let restore t j =
   if Array.length out <> Array.length t.outstanding then
     failwith "checkpoint: FSB column-count mismatch";
   Array.blit out 0 t.outstanding 0 (Array.length out);
-  t.events <- List.map event_of_json (Json.list_exn (Json.get "events" j))
+  t.ev_len <- 0;
+  List.iter (event_of_json t) (Json.list_exn (Json.get "events" j))
 
 (* Forget everything — stacks, counters, the MT, outstanding bits and
    buffered events.  The sampled engine resets the unit when it
@@ -300,4 +353,4 @@ let reset t =
   t.confirmed.counter <- 0;
   Mapping_table.set_mappings t.mt [];
   Array.fill t.outstanding 0 (Array.length t.outstanding) 0;
-  t.events <- []
+  t.ev_len <- 0

@@ -56,7 +56,7 @@ let create ?(trace = Fscope_obs.Trace.null) ~id ~code ~port ~scope_config ~exec_
     sb = Store_buffer.create ~trace ~core:id ~capacity:exec_config.sb_size ();
     bpred = Branch_pred.create ~entries:exec_config.bpred_entries;
     arf = Array.make Reg.count 0;
-    rename = Array.make Reg.count Rob.Arch;
+    rename = Array.make Reg.count Rob.arch;
     fetch_pc = 0;
     fetch_resume = 0;
     fetch_stopped = false;

@@ -54,9 +54,11 @@ type stats = {
   committed : int;
   stall_rob_load : int;
       (** head-fence stall cycles attributable to an incomplete in-ROB
-          load or CAS inside the fence's wait set *)
-  stall_rob_store : int;  (** ... to a store not yet in the store buffer *)
-  stall_sb : int;  (** ... to store-buffer drain *)
+          load or CAS inside the fence's wait set: always 0, since
+          nothing older than the commit head is in the ROB (kept for
+          the artefact schema) *)
+  stall_rob_store : int;  (** ... to a store not yet in the store buffer: always 0 *)
+  stall_sb : int;  (** ... to store-buffer drain: every head-fence stall *)
   committed_mem : int;
   committed_fences : int;
   fence_stall_cycles : int;

@@ -26,9 +26,6 @@ open Core_state
 (* ------------------------------------------------------------------ *)
 (* Field codecs                                                        *)
 
-let producer_to_int = function Rob.Arch -> -1 | Rob.Rob s -> s
-let producer_of_int s = if s < 0 then Rob.Arch else Rob.Rob s
-
 (* [done_at] travels with [Executing] only, as [1, done_at]. *)
 let state_to_json (e : Rob.entry) =
   match e.state with
@@ -36,15 +33,13 @@ let state_to_json (e : Rob.entry) =
   | Rob.Executing -> Json.Arr [ Json.Int 1; Json.Int e.done_at ]
   | Rob.Done -> Json.Arr [ Json.Int 2 ]
 
-(* The entry is not in the ROB yet: [Rob.restore] indexes it from the
-   fields set here. *)
-let state_of_json (e : Rob.entry) j =
+(* The entry was just dispatched, so it is [Waiting]; a later state
+   goes through the ROB's index updates. *)
+let state_of_json rob (e : Rob.entry) j =
   match Json.list_exn j with
-  | [ Json.Int 0 ] -> e.state <- Rob.Waiting
-  | [ Json.Int 1; d ] ->
-    e.state <- Rob.Executing;
-    e.done_at <- Json.int_exn d
-  | [ Json.Int 2 ] -> e.state <- Rob.Done
+  | [ Json.Int 0 ] -> ()
+  | [ Json.Int 1; d ] -> Rob.set_exec rob e ~done_at:(Json.int_exn d)
+  | [ Json.Int 2 ] -> Rob.set_done rob e
   | _ -> failwith "checkpoint: malformed exec state"
 
 let fence_wait_to_json = function
@@ -76,7 +71,7 @@ let entry_to_json (e : Rob.entry) =
     [
       ("seq", Json.Int e.seq);
       ("pc", Json.Int e.pc);
-      ("srcs", Json.of_int_list (List.map (fun (s : Rob.src) -> producer_to_int s.producer) (Array.to_list e.srcs)));
+      ("srcs", Json.of_int_array (Array.sub e.src_producer 0 e.src_count));
       ("state", state_to_json e);
       ("result", Json.Int e.result);
       ("addr", Json.Int e.addr);
@@ -88,31 +83,30 @@ let entry_to_json (e : Rob.entry) =
       ("fcid", Json.Int e.fence_cid);
       ("ml", Json.Int (mem_level_to_int e.mem_level));
       ("pt", Json.Bool e.predicted_taken);
-      ( "cp",
-        match e.checkpoint with
-        | None -> Json.Null
-        | Some cp -> Json.of_int_list (List.map producer_to_int (Array.to_list cp)) );
+      ("cp", if e.checkpointed then Json.of_int_array e.checkpoint else Json.Null);
     ]
 
-(* Rebuild an entry exactly as dispatch would have: the instruction is
-   re-read from the code image and the positional source array from
-   [Core_frontend.sources] — duplicates and order preserved — with the
-   serialized producers put back in. *)
+(* Rebuild an entry through the pipeline's own dispatch path, in the
+   next tail slot: the instruction is re-read from the code image and
+   the operand store filled by [Core_frontend.set_sources] — duplicates
+   and order preserved — with the serialized producers put back in. *)
 let entry_of_json (t : t) j =
+  let rob = t.rob in
+  if Json.int_exn (Json.get "seq" j) <> Rob.next_seq rob then
+    failwith "checkpoint: non-consecutive ROB seq";
+  if Rob.is_full rob then failwith "checkpoint: more ROB entries than slots";
   let pc = Json.int_exn (Json.get "pc" j) in
   if pc < 0 || pc >= Array.length t.code then failwith "checkpoint: entry pc out of range";
   let instr = t.code.(pc) in
   let producers = Json.int_list_exn (Json.get "srcs" j) in
-  let srcs = Core_frontend.sources t.rename instr in
-  if List.length producers <> Array.length srcs then
+  let e = Rob.dispatch rob ~pc ~instr in
+  Core_frontend.set_sources e t.rename instr;
+  if List.length producers <> e.src_count then
     failwith "checkpoint: source arity mismatch (program changed?)";
-  List.iteri
-    (fun i p -> srcs.(i) <- { (srcs.(i)) with Rob.producer = producer_of_int p })
-    producers;
-  let e = Rob.make_entry ~seq:(Json.int_exn (Json.get "seq" j)) ~pc ~instr ~srcs in
-  state_of_json e (Json.get "state" j);
+  List.iteri (fun i p -> e.src_producer.(i) <- p) producers;
+  state_of_json rob e (Json.get "state" j);
   e.result <- Json.int_exn (Json.get "result" j);
-  e.addr <- Json.int_exn (Json.get "addr" j);
+  Rob.set_addr rob e (Json.int_exn (Json.get "addr" j));
   e.data <- Json.int_exn (Json.get "data" j);
   e.data2 <- Json.int_exn (Json.get "data2" j);
   e.scope_mask <- Json.int_exn (Json.get "mask" j);
@@ -121,11 +115,14 @@ let entry_of_json (t : t) j =
   e.fence_cid <- Json.int_exn (Json.get "fcid" j);
   e.mem_level <- mem_level_of_int (Json.int_exn (Json.get "ml" j));
   e.predicted_taken <- Json.bool_exn (Json.get "pt" j);
-  (e.checkpoint <-
-     (match Json.get "cp" j with
-     | Json.Null -> None
-     | cp -> Some (Array.of_list (List.map producer_of_int (Json.int_list_exn cp)))));
-  e
+  match Json.get "cp" j with
+  | Json.Null -> ()
+  | cp ->
+    let cp = Json.int_list_exn cp in
+    if List.length cp <> Array.length e.checkpoint then
+      failwith "checkpoint: rename checkpoint size mismatch";
+    List.iteri (fun i p -> e.checkpoint.(i) <- p) cp;
+    e.checkpointed <- true
 
 let counts_to_json (c : counts) =
   Json.of_int_list
@@ -174,7 +171,7 @@ let snapshot (t : t) =
       ("halted", Json.Bool t.halted);
       ("arch_nest", Json.of_int_list t.arch_nest);
       ("arf", Json.of_int_array t.arf);
-      ("rename", Json.of_int_list (List.map producer_to_int (Array.to_list t.rename)));
+      ("rename", Json.of_int_array t.rename);
       ("rob_head", Json.Int (Rob.head_seq t.rob));
       ("rob", Json.Arr (List.rev !rob_entries));
       ("sb", Json.Arr (List.rev !sb_entries));
@@ -196,13 +193,12 @@ let restore (t : t) j =
   let arf = Json.int_array_exn (Json.get "arf" j) in
   if Array.length arf <> Array.length t.arf then failwith "checkpoint: ARF size mismatch";
   Array.blit arf 0 t.arf 0 (Array.length arf);
-  let rename = Json.int_list_exn (Json.get "rename" j) in
-  if List.length rename <> Array.length t.rename then
+  let rename = Json.int_array_exn (Json.get "rename" j) in
+  if Array.length rename <> Array.length t.rename then
     failwith "checkpoint: rename size mismatch";
-  List.iteri (fun i p -> t.rename.(i) <- producer_of_int p) rename;
-  Rob.restore t.rob
-    ~head_seq:(Json.int_exn (Json.get "rob_head" j))
-    (List.map (entry_of_json t) (Json.list_exn (Json.get "rob" j)));
+  Array.blit rename 0 t.rename 0 (Array.length rename);
+  Rob.reset_window t.rob ~head_seq:(Json.int_exn (Json.get "rob_head" j));
+  List.iter (entry_of_json t) (Json.list_exn (Json.get "rob" j));
   Store_buffer.restore t.sb
     (List.map
        (fun en ->
@@ -263,8 +259,8 @@ let flush_arch (t : t) =
   Store_buffer.iter t.sb (fun (en : Store_buffer.entry) ->
       Mem_port.store t.port ~addr:en.addr ~value:en.value);
   Store_buffer.restore t.sb [];
-  Rob.restore t.rob ~head_seq:(Rob.next_seq t.rob) [];
-  Array.fill t.rename 0 (Array.length t.rename) Rob.Arch;
+  Rob.reset_window t.rob ~head_seq:(Rob.next_seq t.rob);
+  Array.fill t.rename 0 (Array.length t.rename) Rob.arch;
   t.fetch_pc <- pc;
   t.fetch_resume <- 0;
   t.fetch_stopped <- t.halted;

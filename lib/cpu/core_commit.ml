@@ -5,7 +5,6 @@
 
 module Instr = Fscope_isa.Instr
 module Reg = Fscope_isa.Reg
-module Fsb = Fscope_core.Fsb
 module Cpi = Fscope_obs.Cpi
 open Core_state
 
@@ -58,9 +57,8 @@ let spin_note t (e : Rob.entry) =
   | _ -> ()
 
 let commit_effects t (e : Rob.entry) =
-  (match Instr.writes_reg e.instr with
-  | Some r -> t.arf.(Reg.index r) <- e.result
-  | None -> ());
+  let dst = Instr.dst_reg e.instr in
+  if not (Reg.equal dst Reg.zero) then t.arf.(Reg.index dst) <- e.result;
   t.counts.committed <- t.counts.committed + 1;
   spin_note t e;
   match e.instr with
@@ -83,43 +81,22 @@ let commit_effects t (e : Rob.entry) =
   | Instr.Halt ->
     ()
 
-(* Does an older entry in seqs [s, stop), inside the fence's scope
-   ([global], or scope bits meeting [mask]), still hold the fence: an
-   incomplete load/CAS ([load]) or a store not yet in the store
-   buffer? *)
-let rec older_covered rob ~global ~mask ~load s stop =
-  s < stop
-  && (let o = Rob.get rob s in
-      ((global || not (Fsb.is_empty (Fsb.inter o.Rob.scope_mask mask)))
-      &&
-      match o.instr with
-      | Instr.Load _ | Instr.Cas _ -> load && o.state <> Rob.Done
-      | Instr.Store _ -> not load
-      | _ -> false)
-      || older_covered rob ~global ~mask ~load (s + 1) stop)
-
-(* Why is the head fence stalled?  Charged once per stalled cycle to
-   the first matching cause (ROB loads, then ROB stores, then SB
-   drain), split by whether the fence waits on an S-Fence scope mask
-   or globally.  [times] lets the engine charge a whole frozen span at
-   once — the classification only reads state that cannot change while
-   the core makes no progress, so every cycle of the span lands in the
-   same leaf. *)
+(* Charge a stalled cycle of the head fence [e].  Commit is in order,
+   so nothing older than the head is left in the ROB: the fence can
+   only be waiting for its in-scope stores to drain from the store
+   buffer.  The leaf is split by whether the fence waits on an S-Fence
+   scope mask or globally.  ([Rob_load] / [Rob_store] are never charged
+   here: a fence that waits for older ROB accesses waits at issue, and
+   that time lands on whatever the head is doing.)  [times] lets the
+   engine charge a whole frozen span at once — the classification only
+   reads state that cannot change while the core makes no progress. *)
 let charge_fence_stall t (e : Rob.entry) ~times =
-  let mask =
-    match e.fence_wait with Some (`Mask m) -> m | Some `Global | None -> Fsb.empty
+  let leaf =
+    match e.fence_wait with
+    | Some (`Mask _) -> Cpi.Fence_wait (Cpi.Sb_drain, Cpi.Scoped)
+    | Some `Global | None -> Cpi.Fence_wait (Cpi.Sb_drain, Cpi.Unscoped)
   in
-  let global =
-    match e.fence_wait with Some (`Mask _) -> false | Some `Global | None -> true
-  in
-  let head = Rob.head_seq t.rob in
-  let cause =
-    if older_covered t.rob ~global ~mask ~load:true head e.seq then Cpi.Rob_load
-    else if older_covered t.rob ~global ~mask ~load:false head e.seq then Cpi.Rob_store
-    else Cpi.Sb_drain
-  in
-  let scope = if global then Cpi.Unscoped else Cpi.Scoped in
-  Cpi.charge_n t.cpi (Cpi.Fence_wait (cause, scope)) ~times
+  Cpi.charge_n t.cpi leaf ~times
 
 (* Per-static-fence-site and per-scope attribution, on traced runs
    only: a commit counter per (core, fence PC), a scoped-commit

@@ -83,12 +83,16 @@ let release_squashed t (e : Rob.entry) =
   | Instr.Fence _ | Instr.Fs_start _ | Instr.Fs_end _ | Instr.Halt ->
     ()
 
+(* The squashed entries are released in place, in their slots, before
+   the ROB drops them. *)
 let squash t (e : Rob.entry) ~actual_target ~cycle =
-  let removed = Rob.squash_after t.rob e.seq in
-  List.iter (release_squashed t) removed;
-  (match e.checkpoint with
-  | Some cp -> Array.blit cp 0 t.rename 0 (Array.length cp)
-  | None -> assert false);
+  let rob = t.rob in
+  for s = e.seq + 1 to Rob.next_seq rob - 1 do
+    release_squashed t (Rob.get rob s)
+  done;
+  Rob.squash_after rob e.seq;
+  assert e.checkpointed;
+  Array.blit e.checkpoint 0 t.rename 0 (Array.length t.rename);
   Scope_unit.on_branch_mispredict t.scope ~id:e.seq;
   t.fetch_pc <- actual_target;
   t.fetch_resume <- cycle + t.cfg.mispredict_penalty;

@@ -200,9 +200,9 @@ let issue t ~cycle =
       decr budget
     | Instr.Alu (op, _, _, operand), Rob.Waiting ->
       if srcs_ready t cycle e then begin
-        let a = src_get t e.srcs.(0) in
+        let a = src_get t e 0 in
         let b =
-          match operand with Instr.Reg _ -> src_get t e.srcs.(1) | Instr.Imm i -> i
+          match operand with Instr.Reg _ -> src_get t e 1 | Instr.Imm i -> i
         in
         e.result <- eval_alu op a b;
         Rob.set_exec rob e ~done_at:(cycle + 1);
@@ -211,42 +211,42 @@ let issue t ~cycle =
       end
       else park_on_unready t cycle e 0
     | Instr.Branch { cond; _ }, Rob.Waiting ->
-      if src_ready t cycle e.srcs.(0) then begin
-        let v = src_get t e.srcs.(0) in
+      if src_ready t cycle e 0 then begin
+        let v = src_get t e 0 in
         let taken = match cond with Instr.Eqz -> v = 0 | Instr.Nez -> v <> 0 in
         e.result <- (if taken then 1 else 0);
         Rob.set_exec rob e ~done_at:(cycle + 1);
         progress := true;
         decr budget
       end
-      else park_on t e e.srcs.(0)
+      else park_on t e 0
     | Instr.Store { off; _ }, Rob.Waiting ->
       (* Address generation does not wait for the data: younger
          loads disambiguate against the address as soon as the
          base register is ready. *)
       if e.addr < 0 then
-        if src_ready t cycle e.srcs.(1) then begin
-          Rob.set_addr rob e (src_get t e.srcs.(1) + off);
+        if src_ready t cycle e 1 then begin
+          Rob.set_addr rob e (src_get t e 1 + off);
           progress := true
         end
-        else park_on t e e.srcs.(1);
+        else park_on t e 1;
       if e.addr >= 0 then
-        if src_ready t cycle e.srcs.(0) then begin
-          e.data <- src_get t e.srcs.(0);
+        if src_ready t cycle e 0 then begin
+          e.data <- src_get t e 0;
           Rob.set_exec rob e ~done_at:(cycle + 1);
           progress := true;
           decr budget
         end
-        else park_on t e e.srcs.(0)
+        else park_on t e 0
     | Instr.Load { off; _ }, Rob.Waiting ->
       (* Address generation is free as soon as the base is ready;
          the issue slot is only spent on the actual access. *)
       if e.addr < 0 then
-        if src_ready t cycle e.srcs.(0) then begin
-          Rob.set_addr rob e (src_get t e.srcs.(0) + off);
+        if src_ready t cycle e 0 then begin
+          Rob.set_addr rob e (src_get t e 0 + off);
           progress := true
         end
-        else park_on t e e.srcs.(0);
+        else park_on t e 0;
       if e.addr >= 0
          && !unknown_writer >= e.seq
          && ((not !pending_blocking_fence) || t.cfg.in_window_speculation)
@@ -258,9 +258,9 @@ let issue t ~cycle =
     | Instr.Cas { off; _ }, Rob.Waiting ->
       if e.addr < 0 then
         if srcs_ready t cycle e then begin
-          Rob.set_addr rob e (src_get t e.srcs.(0) + off);
-          e.data2 <- src_get t e.srcs.(1);
-          e.data <- src_get t e.srcs.(2);
+          Rob.set_addr rob e (src_get t e 0 + off);
+          e.data2 <- src_get t e 1;
+          e.data <- src_get t e 2;
           progress := true
         end
         else park_on_unready t cycle e 0;

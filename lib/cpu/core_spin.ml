@@ -86,13 +86,11 @@ let delta prev now = Array.init (Array.length now) (fun i -> now.(i) - prev.(i))
 (* The relativized snapshot. *)
 
 (* A producer seq that already left the ROB is behaviorally identical
-   to [Arch] (src_ready / src_get fall back to the architectural
-   file), so dead seqs relativize to the Arch sentinel; otherwise stale
+   to [Rob.arch] (src_ready / src_get fall back to the architectural
+   file), so dead seqs relativize to that -1 sentinel; otherwise stale
    pointers from before the loop would drift against [base] and block
    arming. *)
-let rel_producer t base = function
-  | Rob.Arch -> -1
-  | Rob.Rob s -> if Rob.contains t.rob s then base - s else -1
+let rel_producer t base p = if p <> Rob.arch && Rob.contains t.rob p then base - p else -1
 
 (* In-flight stores, CAS, fences, scope markers and halts all have
    effects the closed-form replay cannot reproduce — reject. *)
@@ -132,9 +130,8 @@ let build_snapshot t ~cycle =
             s_pc = e.pc;
             s_instr = e.instr;
             s_srcs =
-              Array.map
-                (fun (s : Rob.src) -> (rel_producer t base s.producer, Reg.index s.reg))
-                e.srcs;
+              Array.init e.src_count (fun k ->
+                  (rel_producer t base e.src_producer.(k), Reg.index e.src_reg.(k)));
             s_state = state;
             s_result = e.result;
             s_addr = e.addr;
@@ -143,7 +140,9 @@ let build_snapshot t ~cycle =
             s_mask = e.scope_mask;
             s_mem_level = e.mem_level;
             s_predicted = e.predicted_taken;
-            s_checkpoint = Option.map (Array.map (rel_producer t base)) e.checkpoint;
+            s_checkpoint =
+              (if e.checkpointed then Some (Array.map (rel_producer t base) e.checkpoint)
+               else None);
           }
           :: !entries);
     match Scope_unit.spin_fingerprint t.scope ~base with

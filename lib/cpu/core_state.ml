@@ -62,14 +62,14 @@ type obs = {
    implies the shifted-state equality. *)
 
 (* One ROB entry, with seqs expressed relative to the ROB's next seq
-   (dead producers — entries that already committed — map to the Arch
+   (dead producers — entries that already committed — map to the -1
    sentinel, which is behaviorally identical) and completion cycles
    relative to the snapshot cycle. *)
 type entry_snap = {
   s_seq : int;
   s_pc : int;
   s_instr : Instr.t;
-  s_srcs : (int * int) array;  (* (relative producer; -1 = Arch, reg index) *)
+  s_srcs : (int * int) array;  (* (relative producer; -1 = architectural, reg index) *)
   s_state : int * int;  (* (0,_) Waiting, (1,rel done_at) Executing, (2,_) Done *)
   s_result : int;
   s_addr : int;
@@ -145,7 +145,7 @@ type t = {
   sb : Store_buffer.t;
   bpred : Branch_pred.t;
   arf : int array;
-  rename : Rob.producer array;
+  rename : int array;  (* producer per register: Rob.arch or an in-flight seq *)
   mutable fetch_pc : int;
   mutable fetch_resume : int;
   mutable fetch_stopped : bool;
@@ -175,52 +175,50 @@ type t = {
   obs : obs option;
 }
 
-(* A source value is available if its producer has left the ROB (then
-   the architectural file holds it: in-order commit guarantees no
-   younger same-register producer has overwritten it yet) or has
-   finished executing.  [src_get] reads a ready source; neither
-   allocates. *)
-let src_ready t cycle (s : Rob.src) =
-  Reg.equal s.reg Reg.zero
+(* Operand [i] of [e] is available if it reads the zero register, or
+   its producer has left the ROB (then the architectural file holds it:
+   in-order commit guarantees no younger same-register producer has
+   overwritten it yet) or has finished executing.  [src_get] reads a
+   ready operand; neither allocates. *)
+let src_ready t cycle (e : Rob.entry) i =
+  Reg.equal e.src_reg.(i) Reg.zero
   ||
-  match s.producer with
-  | Rob.Arch -> true
-  | Rob.Rob seq -> (
-    (not (Rob.contains t.rob seq))
-    ||
-    let p = Rob.get t.rob seq in
-    match p.state with
-    | Rob.Done -> true
-    | Rob.Executing -> p.done_at <= cycle
-    | Rob.Waiting -> false)
+  let p = e.src_producer.(i) in
+  p = Rob.arch
+  || (not (Rob.contains t.rob p))
+  ||
+  let pe = Rob.get t.rob p in
+  match pe.state with
+  | Rob.Done -> true
+  | Rob.Executing -> pe.done_at <= cycle
+  | Rob.Waiting -> false
 
-let src_get t (s : Rob.src) =
-  if Reg.equal s.reg Reg.zero then 0
+let src_get t (e : Rob.entry) i =
+  let r = e.src_reg.(i) in
+  if Reg.equal r Reg.zero then 0
   else
-    match s.producer with
-    | Rob.Rob seq when Rob.contains t.rob seq -> (Rob.get t.rob seq).result
-    | Rob.Rob _ | Rob.Arch -> t.arf.(Reg.index s.reg)
+    let p = e.src_producer.(i) in
+    if p <> Rob.arch && Rob.contains t.rob p then (Rob.get t.rob p).result
+    else t.arf.(Reg.index r)
 
 let rec srcs_ready_from t cycle (e : Rob.entry) i =
-  i >= Array.length e.srcs
-  || (src_ready t cycle e.srcs.(i) && srcs_ready_from t cycle e (i + 1))
+  i >= e.src_count || (src_ready t cycle e i && srcs_ready_from t cycle e (i + 1))
 
 let srcs_ready t cycle e = srcs_ready_from t cycle e 0
 
-(* Park a waiting entry on the producer of a source [src_ready] just
-   found not ready.  Such a producer is in flight and not [Done]: at
-   issue time every [Executing] entry is due after the cycle, so it
-   can only become ready through [Rob.set_done], which releases the
-   entry. *)
-let park_on t (e : Rob.entry) (s : Rob.src) =
-  match s.producer with
-  | Rob.Rob p -> Rob.park t.rob e ~on:p
-  | Rob.Arch -> assert false
+(* Park a waiting entry on the producer of operand [i], which
+   [src_ready] just found not ready.  Such a producer is in flight and
+   not [Done]: at issue time every [Executing] entry is due after the
+   cycle, so it can only become ready through [Rob.set_done], which
+   releases the entry. *)
+let park_on t (e : Rob.entry) i =
+  let p = e.src_producer.(i) in
+  assert (p <> Rob.arch);
+  Rob.park t.rob e ~on:p
 
 let rec park_on_unready t cycle (e : Rob.entry) i =
-  if i < Array.length e.srcs then
-    if src_ready t cycle e.srcs.(i) then park_on_unready t cycle e (i + 1)
-    else park_on t e e.srcs.(i)
+  if i < e.src_count then
+    if src_ready t cycle e i then park_on_unready t cycle e (i + 1) else park_on t e i
 
 let eval_alu op a b =
   match op with

@@ -1,22 +1,18 @@
-type producer =
-  | Arch
-  | Rob of int
-
-type src = {
-  producer : producer;
-  reg : Fscope_isa.Reg.t;
-}
-
 type exec_state =
   | Waiting
   | Executing
   | Done
 
+let arch = -1
+let max_srcs = 3
+
 type entry = {
-  seq : int;
-  pc : int;
-  instr : Fscope_isa.Instr.t;
-  srcs : src array;
+  mutable seq : int;
+  mutable pc : int;
+  mutable instr : Fscope_isa.Instr.t;
+  src_producer : int array;
+  src_reg : Fscope_isa.Reg.t array;
+  mutable src_count : int;
   mutable state : exec_state;
   mutable done_at : int;
   mutable result : int;
@@ -29,15 +25,18 @@ type entry = {
   mutable fence_cid : int;
   mutable mem_level : Fscope_obs.Event.mem_outcome option;
   mutable predicted_taken : bool;
-  mutable checkpoint : producer array option;
+  checkpoint : int array;
+  mutable checkpointed : bool;
 }
 
-let make_entry ~seq ~pc ~instr ~srcs =
+let slot_entry () =
   {
-    seq;
-    pc;
-    instr;
-    srcs;
+    seq = -1;
+    pc = -1;
+    instr = Fscope_isa.Instr.Nop;
+    src_producer = Array.make max_srcs arch;
+    src_reg = Array.make max_srcs Fscope_isa.Reg.zero;
+    src_count = 0;
     state = Waiting;
     done_at = 0;
     result = 0;
@@ -50,16 +49,41 @@ let make_entry ~seq ~pc ~instr ~srcs =
     fence_cid = -1;
     mem_level = None;
     predicted_taken = false;
-    checkpoint = None;
+    checkpoint = Array.make Fscope_isa.Reg.count arch;
+    checkpointed = false;
   }
+
+(* Every field as a fresh dispatch has it.  The operand and checkpoint
+   arrays are left as they are: [src_count] and [checkpointed] say how
+   much of them is live. *)
+let reset e ~seq ~pc ~instr =
+  e.seq <- seq;
+  e.pc <- pc;
+  e.instr <- instr;
+  e.src_count <- 0;
+  e.state <- Waiting;
+  e.done_at <- 0;
+  e.result <- 0;
+  e.addr <- -1;
+  e.data <- 0;
+  e.data2 <- 0;
+  e.scope_mask <- Fscope_core.Fsb.empty;
+  e.fence_wait <- None;
+  e.fence_issued <- false;
+  e.fence_cid <- -1;
+  e.mem_level <- None;
+  e.predicted_taken <- false;
+  e.checkpointed <- false
 
 module Bitset = Fscope_util.Bitset
 
 (* [slots] is a ring indexed from [head_slot] (= [head_seq mod size],
-   kept incrementally so lookups never divide); free slots hold
-   [vacant].  The bitsets are the slot index described in the
-   interface: each holds in-flight slots only, and [waiters.(p)] holds
-   the consumer slots parked on the producer in slot [p]. *)
+   kept incrementally so lookups never divide).  Every slot owns one
+   entry for the ROB's lifetime; a free slot keeps its last occupant's
+   stale fields until [dispatch] resets them.  The bitsets are the slot
+   index described in the interface: each holds in-flight slots only,
+   and [waiters.(p)] holds the consumer slots parked on the producer in
+   slot [p]. *)
 type t = {
   size : int;
   slots : entry array;
@@ -75,14 +99,12 @@ type t = {
   core : int;
 }
 
-let vacant = make_entry ~seq:(-1) ~pc:(-1) ~instr:Fscope_isa.Instr.Nop ~srcs:[||]
-
 let create ?(trace = Fscope_obs.Trace.null) ?(core = 0) ~size () =
   if size <= 0 then invalid_arg "Rob.create: size must be positive";
   let set () = Bitset.create ~bits:size in
   {
     size;
-    slots = Array.make size vacant;
+    slots = Array.init size (fun _ -> slot_entry ());
     head_seq = 0;
     head_slot = 0;
     tail_seq = 0;
@@ -125,31 +147,28 @@ let unknown_writer (e : entry) =
   | Fscope_isa.Instr.Store _ | Fscope_isa.Instr.Cas _ -> e.addr < 0
   | _ -> false
 
-(* Place [e] in slot [i] and index it from its own state (nothing is
-   parked on arrival). *)
-let place t i e =
-  t.slots.(i) <- e;
-  if e.state <> Done then Bitset.add t.not_done i;
-  if e.state = Executing then Bitset.add t.executing i;
-  if unknown_writer e then Bitset.add t.unknown_writers i
-
-(* Empty slot [i] and drop it from every set. *)
+(* Drop slot [i] from every set. *)
 let vacate t i =
-  t.slots.(i) <- vacant;
   Bitset.remove t.not_done i;
   Bitset.remove t.executing i;
   Bitset.remove t.parked i;
   Bitset.remove t.unknown_writers i;
   Bitset.clear t.waiters.(i)
 
-let dispatch t entry =
+(* A fresh entry is waiting, so it is not done, and a store or CAS has
+   no address yet; nothing is parked on arrival. *)
+let dispatch t ~pc ~instr =
   if is_full t then invalid_arg "Rob.dispatch: full";
-  if entry.seq <> t.tail_seq then invalid_arg "Rob.dispatch: wrong seq";
-  place t (slot t entry.seq) entry;
+  let i = slot t t.tail_seq in
+  let e = t.slots.(i) in
+  reset e ~seq:t.tail_seq ~pc ~instr;
+  Bitset.add t.not_done i;
+  if unknown_writer e then Bitset.add t.unknown_writers i;
   t.tail_seq <- t.tail_seq + 1;
   if Fscope_obs.Trace.on t.trace then
     Fscope_obs.Trace.emit t.trace ~core:t.core
-      (Fscope_obs.Event.Rob_dispatch { pc = entry.pc; cls = instr_class entry.instr })
+      (Fscope_obs.Event.Rob_dispatch { pc; cls = instr_class instr });
+  e
 
 let contains t seq = seq >= t.head_seq && seq < t.tail_seq
 
@@ -175,23 +194,18 @@ let pop_head t =
    its slot is not released by it. *)
 let unlink_parked t i (e : entry) ~survivors =
   if Bitset.mem t.parked i then
-    for k = 0 to Array.length e.srcs - 1 do
-      match e.srcs.(k).producer with
-      | Rob p when p >= t.head_seq && p <= survivors -> Bitset.remove t.waiters.(slot t p) i
-      | Rob _ | Arch -> ()
+    for k = 0 to e.src_count - 1 do
+      let p = e.src_producer.(k) in
+      if p >= t.head_seq && p <= survivors then Bitset.remove t.waiters.(slot t p) i
     done
 
 let squash_after t seq =
-  let removed = ref [] in
   for s = t.tail_seq - 1 downto max (seq + 1) t.head_seq do
     let i = slot t s in
-    let e = t.slots.(i) in
-    removed := e :: !removed;
-    unlink_parked t i e ~survivors:seq;
+    unlink_parked t i t.slots.(i) ~survivors:seq;
     vacate t i
   done;
-  if seq + 1 < t.tail_seq then t.tail_seq <- max (seq + 1) t.head_seq;
-  !removed
+  if seq + 1 < t.tail_seq then t.tail_seq <- max (seq + 1) t.head_seq
 
 let iter t f =
   for s = t.head_seq to t.tail_seq - 1 do
@@ -257,21 +271,12 @@ let next_executing t s = next_in t t.executing ~issuable:false s
 let next_parked t s = next_in t t.parked ~issuable:false s
 let next_unknown_writer t s = next_in t t.unknown_writers ~issuable:false s
 
-(* Checkpoint restore: overwrite the whole window.  Entries must be
-   consecutive by seq starting at [head_seq] (the caller rebuilt them
-   from a serialized snapshot); emits nothing — checkpointing is an
-   untraced-run facility. *)
-let restore t ~head_seq entries =
-  if List.length entries > t.size then invalid_arg "Rob.restore: too many entries";
+(* Checkpoint restore and the sampled-mode flush start from an empty
+   window at an arbitrary seq. *)
+let reset_window t ~head_seq =
   for i = 0 to t.size - 1 do
     vacate t i
   done;
   t.head_seq <- head_seq;
   t.head_slot <- head_seq mod t.size;
-  t.tail_seq <- head_seq;
-  List.iter
-    (fun e ->
-      if e.seq <> t.tail_seq then invalid_arg "Rob.restore: non-consecutive seq";
-      place t (slot t e.seq) e;
-      t.tail_seq <- t.tail_seq + 1)
-    entries
+  t.tail_seq <- head_seq

@@ -9,6 +9,21 @@
     ([scope_mask]) and, for fences, the wait condition captured from
     the {!Fscope_core.Scope_unit} at dispatch.
 
+    {2 Slot-resident entries}
+
+    As in hardware, the ROB is a fixed array of slots, and each slot
+    owns one mutable entry for the ROB's lifetime, with a fixed
+    {!max_srcs}-wide operand store and its own rename-checkpoint
+    array.  {!dispatch} resets the tail slot's entry in place and hands
+    it out; nothing on the dispatch, commit or squash path allocates.
+
+    {b Ownership.}  Entries belong to the ROB and are recycled.  An
+    entry is valid only while its seq is in flight: after
+    {!pop_head} or {!squash_after} removes it, its fields stay readable
+    only until the next {!dispatch} (or {!reset_window}) reuses the
+    slot.  No caller may hold an entry across those calls; keep the
+    seq and look the entry up again with {!get}.
+
     {2 The slot index}
 
     The pipeline stages do not rescan the window.  The ROB keeps
@@ -26,19 +41,23 @@
       the consumer slots parked on it, and {!set_done} releases them.
 
     The index changes only in {!dispatch}, {!set_exec}, {!set_done},
-    {!set_addr}, {!park}, {!pop_head}, {!squash_after} and {!restore}, so
-    every change of [state] after dispatch, and every address an issue
-    stage computes, goes through them.  {!restore} derives the first
-    three sets from the entries and starts with nothing parked. *)
+    {!set_addr}, {!park}, {!pop_head}, {!squash_after} and
+    {!reset_window}, so every change of [state] after dispatch, and
+    every address an issue stage computes, goes through them. *)
 
-type producer =
-  | Arch  (** value lives in the architectural register file *)
-  | Rob of int  (** produced by the in-flight entry with this seq *)
+(** {2 Producers}
 
-type src = {
-  producer : producer;
-  reg : Fscope_isa.Reg.t;
-}
+    A register's producer is an int: {!arch} when the value lives in
+    the architectural register file, otherwise the seq of the
+    in-flight entry that produces it.  A seq that has since committed
+    reads as {!arch}. *)
+
+val arch : int
+(** [-1]: the architectural register file. *)
+
+val max_srcs : int
+(** Width of every entry's operand store (3: CAS reads base, expected
+    and desired). *)
 
 type exec_state =
   | Waiting  (** operands not ready or structural/ordering hazard *)
@@ -46,13 +65,19 @@ type exec_state =
   | Done
 
 type entry = {
-  seq : int;
-  pc : int;
-  instr : Fscope_isa.Instr.t;
-  srcs : src array;
-      (** positional operands as execution consumes them: ALU [a] (then
-          [b] for a register operand), load [base], store [src; base],
-          CAS [base; expected; desired], branch [src] *)
+  mutable seq : int;
+  mutable pc : int;
+  mutable instr : Fscope_isa.Instr.t;
+      (** [seq], [pc] and [instr] are set by {!dispatch}; do not write
+          them. *)
+  src_producer : int array;
+  src_reg : Fscope_isa.Reg.t array;
+  mutable src_count : int;
+      (** the operand store: positions [0 .. src_count - 1] hold the
+          operands as execution consumes them — ALU [a] (then [b] for a
+          register operand), load [base], store [src; base], CAS
+          [base; expected; desired], branch [src] — each as its
+          register and that register's producer at dispatch *)
   mutable state : exec_state;
   mutable done_at : int;
       (** completion cycle while [Executing]; meaningless otherwise.  Mark
@@ -74,17 +99,19 @@ type entry = {
       (** loads/CAS: the level serving the in-flight access (set at
           issue); [None] = forwarded or not issued *)
   mutable predicted_taken : bool;
-  mutable checkpoint : producer array option;  (** rename snapshot, branches only *)
+  checkpoint : int array;
+      (** the rename map's producers when the branch dispatched, one per
+          register; live only while [checkpointed] *)
+  mutable checkpointed : bool;  (** branches only *)
 }
-
-val make_entry : seq:int -> pc:int -> instr:Fscope_isa.Instr.t -> srcs:src array -> entry
 
 type t
 
 val create : ?trace:Fscope_obs.Trace.t -> ?core:int -> size:int -> unit -> t
-(** When [trace] is live, [dispatch] and [pop_head] emit
-    [Rob_dispatch] / [Rob_commit] events for [core].  Defaults to the
-    disabled {!Fscope_obs.Trace.null}. *)
+(** Preallocates the [size] slot entries.  When [trace] is live,
+    [dispatch] and [pop_head] emit [Rob_dispatch] / [Rob_commit]
+    events for [core].  Defaults to the disabled
+    {!Fscope_obs.Trace.null}. *)
 
 val size : t -> int
 val count : t -> int
@@ -94,9 +121,14 @@ val is_empty : t -> bool
 val next_seq : t -> int
 (** The seq the next dispatched entry must carry. *)
 
-val dispatch : t -> entry -> unit
-(** Append at the tail.  Raises [Invalid_argument] if full or if the
-    entry's seq is not [next_seq]. *)
+val dispatch : t -> pc:int -> instr:Fscope_isa.Instr.t -> entry
+(** Append [instr] (fetched from [pc]) at the tail with seq
+    {!next_seq}, and return the tail slot's entry, reset in place to
+    what a fresh dispatch has: [Waiting], no operands, no checkpoint,
+    address [-1], every other field at its zero value.  The caller
+    fills the operand store and the instruction's fields; state and
+    address changes go through the index updates below.  Raises
+    [Invalid_argument] if full. *)
 
 val contains : t -> int -> bool
 (** Is [seq] currently in flight? *)
@@ -107,12 +139,13 @@ val get : t -> int -> entry
 val head : t -> entry option
 
 val pop_head : t -> entry
-(** Commit the head.  Raises [Invalid_argument] if empty. *)
+(** Commit the head and return it (readable until the next
+    {!dispatch}).  Raises [Invalid_argument] if empty. *)
 
-val squash_after : t -> int -> entry list
+val squash_after : t -> int -> unit
 (** [squash_after t seq] removes every entry with a seq strictly
-    greater than [seq] and returns them (oldest first) so the caller
-    can release their side state. *)
+    greater than [seq].  A caller that must release their side state
+    walks them with {!get} first. *)
 
 val iter : t -> (entry -> unit) -> unit
 (** All in-flight entries, oldest first. *)
@@ -137,7 +170,8 @@ val set_addr : t -> entry -> int -> unit
 val park : t -> entry -> on:int -> unit
 (** [park t e ~on] parks the [Waiting] entry [e] until the entry with
     seq [on], the producer of one of [e]'s sources, becomes [Done]
-    (a squash that removes [e] finds the producer through [e.srcs]).
+    (a squash that removes [e] finds the producer through [e]'s
+    operand store).
     The caller must know that producer is not [Done]; raises
     [Invalid_argument] if it is not in flight. *)
 
@@ -155,8 +189,9 @@ val next_executing : t -> int -> int
 val next_parked : t -> int -> int
 val next_unknown_writer : t -> int -> int
 
-val restore : t -> head_seq:int -> entry list -> unit
-(** Checkpoint restore: replace the whole window with [entries], which
-    must carry consecutive seqs starting at [head_seq] (oldest first).
-    Rebuilds the index from the entries' states and addresses, with
-    nothing parked.  Emits no events. *)
+val reset_window : t -> head_seq:int -> unit
+(** Empty the window, so that the next {!dispatch} gets seq
+    [head_seq].  Checkpoint restore then rebuilds the window through
+    {!dispatch} and the index updates, the same path as the pipeline;
+    the parked set starts empty (it is a hint: a waiting entry outside
+    it is simply visited and parked again).  Emits no events. *)

@@ -59,9 +59,11 @@ val is_memory : t -> bool
 val is_store_like : t -> bool
 (** Stores and CAS — instructions that write memory. *)
 
-val writes_reg : t -> Reg.t option
-(** The destination register, if any (never [Reg.zero]; writes to r0
-    are reported as [None]). *)
+val dst_reg : t -> Reg.t
+(** The destination register, or [Reg.zero] when there is none.  Writes
+    to [Reg.zero] are discarded, so a caller skips both cases with one
+    test, and no option is allocated on the pipeline's per-instruction
+    paths. *)
 
 val reads_regs : t -> Reg.t list
 (** Source registers, duplicates removed, [Reg.zero] included (it reads

@@ -28,6 +28,10 @@ type fence_cause =
   | Rob_load  (** an incomplete in-scope load or CAS still in the ROB *)
   | Rob_store  (** an in-scope store not yet drained to the store buffer *)
   | Sb_drain  (** only the store buffer's in-scope entries remain *)
+(** The core charges a fence only while it blocks the commit head, when
+    no older entry is left in the ROB, so every fence stall is
+    [Sb_drain]; [Rob_load] and [Rob_store] stay in the taxonomy (and
+    the artefact columns) and read 0. *)
 
 type fence_scope =
   | Scoped  (** the fence waited on an FSB mask (S-Fence hit) *)

@@ -11,36 +11,41 @@ module Reg = Fscope_isa.Reg
 module Fsb = Fscope_core.Fsb
 module Fk = Fscope_isa.Fence_kind
 
-let entry seq = Rob.make_entry ~seq ~pc:seq ~instr:Instr.Nop ~srcs:[||]
+(* Dispatch [instr] (a nop by default) at the tail; its pc is its seq. *)
+let push ?(instr = Instr.Nop) rob = Rob.dispatch rob ~pc:(Rob.next_seq rob) ~instr
+
+let pushes rob n =
+  for _ = 1 to n do
+    ignore (push rob)
+  done
 
 let test_rob_fifo () =
   let rob = Rob.create ~size:4 () in
   Alcotest.(check bool) "empty" true (Rob.is_empty rob);
-  for s = 0 to 3 do
-    Rob.dispatch rob (entry s)
-  done;
+  pushes rob 4;
   Alcotest.(check bool) "full" true (Rob.is_full rob);
   Alcotest.(check int) "head is 0" 0 (Rob.pop_head rob).Rob.seq;
-  Rob.dispatch rob (entry 4);
+  Alcotest.(check int) "dispatched seq 4" 4 (push rob).Rob.seq;
   Alcotest.(check int) "count" 4 (Rob.count rob);
   Alcotest.(check int) "head is 1" 1 (Rob.pop_head rob).Rob.seq
 
-let test_rob_wrong_seq () =
+let test_rob_dispatch_full () =
   let rob = Rob.create ~size:4 () in
-  Alcotest.check_raises "wrong seq" (Invalid_argument "Rob.dispatch: wrong seq") (fun () ->
-      Rob.dispatch rob (entry 5))
+  List.iter
+    (fun s -> Alcotest.(check int) "takes the next seq" s (push rob).Rob.seq)
+    [ 0; 1; 2; 3 ];
+  Alcotest.check_raises "full" (Invalid_argument "Rob.dispatch: full") (fun () ->
+      ignore (push rob))
 
 let test_rob_squash () =
   let rob = Rob.create ~size:8 () in
-  for s = 0 to 5 do
-    Rob.dispatch rob (entry s)
-  done;
-  let removed = Rob.squash_after rob 2 in
-  Alcotest.(check (list int)) "removed 3,4,5" [ 3; 4; 5 ]
-    (List.map (fun (e : Rob.entry) -> e.Rob.seq) removed);
+  pushes rob 6;
+  Rob.squash_after rob 2;
+  Alcotest.(check (list bool)) "removed 3,4,5" [ true; true; true; false; false; false ]
+    (List.map (Rob.contains rob) [ 0; 1; 2; 3; 4; 5 ]);
   Alcotest.(check int) "count" 3 (Rob.count rob);
   Alcotest.(check int) "next seq" 3 (Rob.next_seq rob);
-  Rob.dispatch rob (entry 3);
+  ignore (push rob);
   Alcotest.(check bool) "re-dispatch ok" true (Rob.contains rob 3)
 
 (* Every seq [next] visits from the head, in the order it visits them. *)
@@ -48,10 +53,7 @@ let walk rob next =
   let rec go s acc = if s >= Rob.next_seq rob then List.rev acc else go (next rob (s + 1)) (s :: acc) in
   go (next rob (Rob.head_seq rob)) []
 
-let store_entry seq =
-  Rob.make_entry ~seq ~pc:seq
-    ~instr:(Instr.Store { src = Reg.zero; base = Reg.zero; off = 0; flagged = false })
-    ~srcs:[||]
+let store = Instr.Store { src = Reg.zero; base = Reg.zero; off = 0; flagged = false }
 
 (* The slot index through a wrapped ring: fill the ROB, commit just
    over half of it, refill so the tail wraps past slot 0, then give
@@ -63,16 +65,18 @@ let test_rob_iteration_helpers () =
   List.iter
     (fun size ->
       let rob = Rob.create ~size () in
-      let fresh s = if s mod 4 = 2 then store_entry s else entry s in
-      for s = 0 to size - 1 do
-        Rob.dispatch rob (fresh s)
+      let fresh () =
+        ignore (if Rob.next_seq rob mod 4 = 2 then push ~instr:store rob else push rob)
+      in
+      for _ = 1 to size do
+        fresh ()
       done;
       let popped = (size / 2) + 1 in
       for _ = 1 to popped do
         ignore (Rob.pop_head rob)
       done;
-      for s = size to size + popped - 1 do
-        Rob.dispatch rob (fresh s)
+      for _ = 1 to popped do
+        fresh ()
       done;
       let head = Rob.head_seq rob in
       let seqs = List.init size (fun i -> head + i) in
@@ -111,8 +115,8 @@ let test_rob_iteration_helpers () =
         (named "past the tail")
         (Rob.next_seq rob)
         (Rob.next_not_done rob (Rob.next_seq rob + 3));
-      Rob.restore rob ~head_seq:7 [];
-      Alcotest.(check (list int)) (named "restore empties the index") []
+      Rob.reset_window rob ~head_seq:7;
+      Alcotest.(check (list int)) (named "reset_window empties the index") []
         (walk rob Rob.next_not_done))
     [ 5; 33; 64; 128 ]
 
@@ -122,12 +126,19 @@ let test_rob_iteration_helpers () =
    seq 5 reads seq 2; the one dispatched after the squash reads seq 0). *)
 let test_rob_park_release () =
   let rob = Rob.create ~size:8 () in
-  let reads seq producers =
-    Rob.make_entry ~seq ~pc:seq ~instr:Instr.Nop
-      ~srcs:(Array.of_list (List.map (fun p -> { Rob.producer = Rob.Rob p; reg = Reg.r 1 }) producers))
+  let reads producers =
+    let e = push rob in
+    List.iteri
+      (fun k p ->
+        e.Rob.src_producer.(k) <- p;
+        e.Rob.src_reg.(k) <- Reg.r 1)
+      producers;
+    e.Rob.src_count <- List.length producers
   in
-  List.iter (Rob.dispatch rob)
-    [ entry 0; entry 1; entry 2; reads 3 [ 1 ]; reads 4 [ 1 ]; reads 5 [ 2 ] ];
+  pushes rob 3;
+  reads [ 1 ];
+  reads [ 1 ];
+  reads [ 2 ];
   let park s ~on = Rob.park rob (Rob.get rob s) ~on in
   park 3 ~on:1;
   park 4 ~on:1;
@@ -138,9 +149,9 @@ let test_rob_park_release () =
   Alcotest.(check (list int)) "set_done releases its consumers" [ 5 ] (walk rob Rob.next_parked);
   Alcotest.(check (list int)) "released ones are issuable" [ 0; 2; 3; 4 ]
     (walk rob Rob.next_issuable);
-  ignore (Rob.squash_after rob 4);
+  Rob.squash_after rob 4;
   Alcotest.(check (list int)) "squash drops the parked consumer" [] (walk rob Rob.next_parked);
-  Rob.dispatch rob (reads 5 [ 0 ]);
+  reads [ 0 ];
   park 5 ~on:0;
   Rob.set_done rob (Rob.get rob 2);
   Alcotest.(check (list int)) "the squashed consumer's producer releases nothing" [ 5 ]
@@ -149,6 +160,155 @@ let test_rob_park_release () =
   Alcotest.(check (list int)) "its own producer releases it" [] (walk rob Rob.next_parked);
   Alcotest.check_raises "producer must be in flight"
     (Invalid_argument "Rob.park: producer not in flight") (fun () -> park 5 ~on:9)
+
+(* Slots are recycled in place.  Fill a ROB with entries whose every
+   mutable field is set (operands, a checkpoint, parked consumers, an
+   executing entry), squash and commit them all, then dispatch into
+   the same slots: each new entry must start exactly as fresh, and no
+   parked or waiter bit may survive into it. *)
+let test_rob_slot_reuse () =
+  let rob = Rob.create ~size:4 () in
+  let cas =
+    Instr.Cas
+      { dst = Reg.r 1; base = Reg.r 2; off = 0; expected = Reg.r 3; desired = Reg.r 4; flagged = true }
+  in
+  let instrs =
+    [ Instr.Nop; Instr.Branch { cond = Instr.Eqz; src = Reg.r 1; target = 0 }; cas; Instr.Fence Fk.full ]
+  in
+  let old = List.map (fun instr -> push ~instr rob) instrs in
+  List.iter
+    (fun (e : Rob.entry) ->
+      e.result <- 7;
+      Rob.set_addr rob e 9;
+      e.data <- 5;
+      e.data2 <- 6;
+      e.scope_mask <- Fsb.column 1;
+      e.fence_wait <- Some `Global;
+      e.fence_issued <- true;
+      e.fence_cid <- 2;
+      e.mem_level <- Some Fscope_obs.Event.L2_miss;
+      e.predicted_taken <- true;
+      Array.fill e.checkpoint 0 (Array.length e.checkpoint) 0;
+      e.checkpointed <- true;
+      for k = 0 to Rob.max_srcs - 1 do
+        e.src_producer.(k) <- 0;
+        e.src_reg.(k) <- Reg.r 5
+      done;
+      e.src_count <- Rob.max_srcs)
+    old;
+  Rob.set_exec rob (Rob.get rob 1) ~done_at:77;
+  Rob.park rob (Rob.get rob 2) ~on:0;
+  Rob.park rob (Rob.get rob 3) ~on:0;
+  Rob.squash_after rob 0;
+  ignore (Rob.pop_head rob);
+  Alcotest.(check bool) "empty" true (Rob.is_empty rob);
+  Alcotest.(check int) "the squash rewound the seqs" 1 (Rob.next_seq rob);
+  let fresh = List.map (fun instr -> push ~instr rob) (List.rev instrs) in
+  List.iteri
+    (fun i (e : Rob.entry) ->
+      let s = 1 + i in
+      let named what = Printf.sprintf "seq %d: %s" s what in
+      Alcotest.(check bool) (named "reuses a slot") true (List.memq e old);
+      Alcotest.(check int) (named "seq") s e.seq;
+      Alcotest.(check int) (named "pc") s e.pc;
+      Alcotest.(check bool) (named "instr") true (e.instr = List.nth (List.rev instrs) i);
+      Alcotest.(check bool) (named "waiting") true (e.state = Rob.Waiting);
+      Alcotest.(check int) (named "done_at") 0 e.done_at;
+      Alcotest.(check int) (named "result") 0 e.result;
+      Alcotest.(check int) (named "addr") (-1) e.addr;
+      Alcotest.(check int) (named "data") 0 e.data;
+      Alcotest.(check int) (named "data2") 0 e.data2;
+      Alcotest.(check int) (named "scope_mask") Fsb.empty e.scope_mask;
+      Alcotest.(check bool) (named "fence_wait") true (e.fence_wait = None);
+      Alcotest.(check bool) (named "fence_issued") false e.fence_issued;
+      Alcotest.(check int) (named "fence_cid") (-1) e.fence_cid;
+      Alcotest.(check bool) (named "mem_level") true (e.mem_level = None);
+      Alcotest.(check bool) (named "predicted_taken") false e.predicted_taken;
+      Alcotest.(check bool) (named "no checkpoint") false e.checkpointed;
+      Alcotest.(check int) (named "no operands") 0 e.src_count)
+    fresh;
+  Alcotest.(check (list int)) "nothing parked" [] (walk rob Rob.next_parked);
+  Alcotest.(check (list int)) "nothing executing" [] (walk rob Rob.next_executing);
+  Alcotest.(check (list int)) "all not done" [ 1; 2; 3; 4 ] (walk rob Rob.next_not_done);
+  Alcotest.(check (list int)) "only the new CAS lacks an address" [ 2 ]
+    (walk rob Rob.next_unknown_writer);
+  (* Slot 0 held the producer the old consumers in slots 2 and 3 were
+     parked on.  Its new occupant (seq 4) finishing must release only
+     consumers parked on it: none. *)
+  Rob.park rob (Rob.get rob 2) ~on:1;
+  Rob.park rob (Rob.get rob 3) ~on:1;
+  Rob.set_done rob (Rob.get rob 4);
+  Alcotest.(check (list int)) "no stale waiter bits" [ 2; 3 ] (walk rob Rob.next_parked)
+
+(* Dispatch and squash allocate nothing: ROB entries, their operands
+   and branch checkpoints live in the ROB's slots, and the scope unit's
+   event FIFO is a ring.  A branchy scoped loop (a pseudo-random branch
+   that mispredicts about half the time, fs_start/fs_end around a
+   scoped load) is warmed up, then stepped for a fixed number of
+   cycles; minor words per dispatched instruction must stay under 1.
+   What is left (about 0.3) is the memory port's result tuple per load
+   and the committed scope-nesting list per fs_start.  Words are
+   exact for a fixed binary, so this cannot flake.  A squash cycle
+   dispatches nothing (fetch waits out the mispredict penalty), so
+   each cycle's dispatch count is the growth of the ROB's next seq. *)
+let test_dispatch_allocates_nothing () =
+  let r = Reg.r in
+  let alu op d a b = Instr.Alu (op, r d, r a, Instr.Imm b) in
+  let code =
+    [|
+      Instr.Li (r 1, 1_000_000);
+      Instr.Li (r 2, 12345);
+      Instr.Fs_start 1;
+      alu Instr.Mul 2 2 1103515245;
+      alu Instr.Add 2 2 12345;
+      alu Instr.Shr 3 2 16;
+      alu Instr.And 3 3 1;
+      Instr.Branch { cond = Instr.Eqz; src = r 3; target = 10 };
+      Instr.Load { dst = r 4; base = Reg.zero; off = 1; flagged = true };
+      Instr.Alu (Instr.Add, r 5, r 5, Instr.Reg (r 4));
+      Instr.Fs_end 1;
+      alu Instr.Sub 1 1 1;
+      Instr.Branch { cond = Instr.Nez; src = r 1; target = 2 };
+      Instr.Halt;
+    |]
+  in
+  let mem = Array.make 16 3 in
+  let port =
+    Mem_port.make ~size:(Array.length mem)
+      ~issue:(fun ~core:_ _ ~addr:_ ~now -> (now + 2, Fscope_obs.Event.L1_hit))
+      ~load:(fun ~addr -> mem.(addr))
+      ~store:(fun ~addr ~value -> mem.(addr) <- value)
+  in
+  let core =
+    Core.create ~id:0 ~code ~port ~scope_config:Fscope_core.Scope_unit.default_config
+      ~exec_config:Fscope_cpu.Exec_config.default ()
+  in
+  let rob = Core.rob core in
+  let dispatched = ref 0 in
+  let step cycle =
+    let before = Rob.next_seq rob in
+    ignore (Core.step_complete_writes core ~cycle);
+    ignore (Core.step_complete_reads core ~cycle);
+    ignore (Core.step_pipeline core ~cycle);
+    dispatched := !dispatched + max 0 (Rob.next_seq rob - before)
+  in
+  for cycle = 0 to 1999 do
+    step cycle
+  done;
+  dispatched := 0;
+  let mispredicts = (Core.stats core).Core.mispredicts in
+  let w0 = Gc.minor_words () in
+  for cycle = 2000 to 21999 do
+    step cycle
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "still running" false (Core.halted core);
+  Alcotest.(check bool) "mispredicts in the window" true
+    ((Core.stats core).Core.mispredicts - mispredicts > 1000);
+  let per = words /. float_of_int !dispatched in
+  if per > 1.0 then
+    Alcotest.failf "%.3f words per dispatched instruction (%.0f words, %d dispatched)" per
+      words !dispatched
 
 (* ------------------------------------------------------------------ *)
 (* Memory ordering in a live core.  Each case hand-assembles a tiny
@@ -344,10 +504,13 @@ let test_fence_kind_flavors () =
 let tests =
   [
     Alcotest.test_case "rob fifo" `Quick test_rob_fifo;
-    Alcotest.test_case "rob wrong seq" `Quick test_rob_wrong_seq;
+    Alcotest.test_case "rob dispatch seq and full" `Quick test_rob_dispatch_full;
     Alcotest.test_case "rob squash" `Quick test_rob_squash;
     Alcotest.test_case "rob iteration" `Quick test_rob_iteration_helpers;
     Alcotest.test_case "rob set_done releases parked consumers" `Quick test_rob_park_release;
+    Alcotest.test_case "rob slot reuse resets every field" `Quick test_rob_slot_reuse;
+    Alcotest.test_case "dispatch and squash allocate nothing" `Quick
+      test_dispatch_allocates_nothing;
     Alcotest.test_case "load waits on unknown store address" `Quick
       test_load_waits_unknown_store_addr;
     Alcotest.test_case "load forwards from youngest store" `Quick

@@ -626,12 +626,42 @@ let test_checkpoint_rejects_bad_clocks () =
     wake.(0) <- ck.Checkpoint.cycle - 1;
     rejected "a wake-up before the checkpoint's cycle" { ck with Checkpoint.wake }
 
+(* The checkpoint format is pinned: the MD5 of the file that
+   [fscope checkpoint save msn --at 5000] writes (the pretty plain
+   form plus a newline), recorded when ROB entries, operands and
+   rename producers were still separately allocated records and boxes.
+   Slot-resident entries must serialize to the same bytes, so a file
+   saved by either resumes identically under both. *)
+let pinned_msn_checkpoint_md5 = "c5b2fa398bb4044a1aeebdda21c007c6"
+
+exception Captured of Checkpoint.t
+
+let test_checkpoint_bytes_pinned () =
+  let w = Fscope_experiments.Exp_run.workload "msn" in
+  (* the CLI's machine flags at their defaults *)
+  let config =
+    Config.v ~sfence:true ~speculation:false ~mem_model:Config.Hierarchy
+      ~spin_fastforward:true ()
+  in
+  match
+    Machine.run ~checkpoint:(5000, fun ck -> raise (Captured ck)) config
+      w.Fscope_workloads.Workload.program
+  with
+  | _ -> Alcotest.fail "msn finished before cycle 5000"
+  | exception Captured ck ->
+    Alcotest.(check int) "captured at" 5000 ck.Checkpoint.cycle;
+    let bytes = Json.render_pretty (Checkpoint.to_json ck) ^ "\n" in
+    Alcotest.(check string) "MD5 of the saved file" pinned_msn_checkpoint_md5
+      (Digest.to_hex (Digest.string bytes))
+
 (* ------------------------------------------------------------------ *)
 (* The ROB's slot index.  The pipeline stages walk only the index's
    sets, so after every cycle of a naive three-phase loop over the
    random program families, through mispredict squashes and a
-   checkpoint restore into fresh cores, the not-done, executing and
-   unknown-address-writer sets must equal a rescan of the entries;
+   checkpoint restore into fresh cores, every in-flight seq must look
+   up the entry carrying it (slots are recycled in place); the
+   not-done, executing and unknown-address-writer sets must equal a
+   rescan of the entries;
    every parked entry must be waiting on an operand whose producer is
    in flight and not done; and (the step protocol parking relies on)
    no entry may still be executing at or past its deadline. *)
@@ -660,6 +690,10 @@ let check_index ~what core ~cycle =
         (String.concat ";" (List.map string_of_int actual))
         (String.concat ";" (List.map string_of_int expected))
   in
+  for s = Rob.head_seq rob to Rob.next_seq rob - 1 do
+    if (Rob.get rob s).Rob.seq <> s then
+      Alcotest.failf "%s, cycle %d: slot of seq %d holds seq %d" what cycle s (Rob.get rob s).Rob.seq
+  done;
   same "not-done" (rescan rob (fun e -> e.Rob.state <> Rob.Done))
     (index_walk rob Rob.next_not_done);
   same "executing" (rescan rob (fun e -> e.Rob.state = Rob.Executing))
@@ -673,12 +707,11 @@ let check_index ~what core ~cycle =
   List.iter
     (fun s ->
       let e = Rob.get rob s in
-      let unfinished (src : Rob.src) =
-        match src.Rob.producer with
-        | Rob.Rob p -> Rob.contains rob p && (Rob.get rob p).Rob.state <> Rob.Done
-        | Rob.Arch -> false
+      let unfinished k =
+        let p = e.Rob.src_producer.(k) in
+        p <> Rob.arch && Rob.contains rob p && (Rob.get rob p).Rob.state <> Rob.Done
       in
-      if e.Rob.state <> Rob.Waiting || not (Array.exists unfinished e.Rob.srcs) then
+      if e.Rob.state <> Rob.Waiting || not (List.exists unfinished (List.init e.Rob.src_count Fun.id)) then
         Alcotest.failf "%s, cycle %d: seq %d parked with no unfinished producer" what cycle s)
     (index_walk rob Rob.next_parked);
   Rob.iter rob (fun e ->
@@ -788,6 +821,8 @@ let tests =
       test_compact_checkpoint;
     Alcotest.test_case "checkpoint resume rejects impossible clocks" `Quick
       test_checkpoint_rejects_bad_clocks;
+    Alcotest.test_case "checkpoint bytes pinned (msn at 5000)" `Quick
+      test_checkpoint_bytes_pinned;
     Alcotest.test_case "rob index consistent every cycle (squash, restore)" `Quick
       test_rob_index;
   ]

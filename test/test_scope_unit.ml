@@ -188,6 +188,36 @@ let test_counter_restored_on_mispredict () =
   Su.on_branch_mispredict u ~id:50;
   Alcotest.(check bool) "counter restored" false (Su.in_overflow u)
 
+(* The decode-order event FIFO is a ring that grows when full.  Advance
+   its head first, so that it grows while wrapped; then buffer 40
+   unresolved branches, each followed by a scope micro-op.  A
+   mispredict in the middle must restore the stack as it was when that
+   branch decoded, and resolving the older branches must drain exactly
+   that state into FSS'. *)
+let test_deep_speculation_ring () =
+  let u = Su.create cfg in
+  for i = 0 to 9 do
+    Su.on_branch u ~id:i;
+    Su.on_fs_start u ~cid:1;
+    Su.on_fs_end u ~cid:1;
+    Su.on_branch_correct u ~id:i
+  done;
+  Alcotest.(check (list int)) "resolved work drained" [] (Su.confirmed_stack u);
+  let before =
+    Array.init 40 (fun i ->
+        let stack = Su.live_stack u in
+        Su.on_branch u ~id:(100 + i);
+        if i mod 4 < 2 then Su.on_fs_start u ~cid:(2 + (i mod 3)) else Su.on_fs_end u ~cid:0;
+        stack)
+  in
+  Su.on_branch_mispredict u ~id:125;
+  Alcotest.(check (list int)) "stack as branch 125 decoded" before.(25) (Su.live_stack u);
+  Alcotest.(check (list int)) "FSS' still behind" [] (Su.confirmed_stack u);
+  for i = 0 to 24 do
+    Su.on_branch_correct u ~id:(100 + i)
+  done;
+  Alcotest.(check (list int)) "FSS' caught up" before.(25) (Su.confirmed_stack u)
+
 let tests =
   [
     Alcotest.test_case "fig9 nested scopes" `Quick test_fig9_nested_scopes;
@@ -208,4 +238,5 @@ let tests =
       test_mispredict_with_older_unresolved_branch;
     Alcotest.test_case "FSS' lags speculation" `Quick test_confirmed_lags_speculation;
     Alcotest.test_case "counter restored" `Quick test_counter_restored_on_mispredict;
+    Alcotest.test_case "deep speculation wraps the event ring" `Quick test_deep_speculation_ring;
   ]
